@@ -15,8 +15,6 @@ from .core import (
     MultisetHalves,
     Permutation,
     ValidationError,
-    validate_pattern,
-    validate_permutation,
 )
 from .folog import (
     FoFormula,
@@ -46,10 +44,8 @@ from .reduction import (
     deduplicate_with_reals,
     find_independent_set,
     format_trace,
-    independent_set_oracle,
     matched_vertices,
     reduce,
-    simultaneous_multiset_match,
     simultaneous_multiset_witness,
 )
 from .textio import (
@@ -91,7 +87,6 @@ __all__ = [
     "find_independent_set",
     "first_embedding",
     "format_trace",
-    "independent_set_oracle",
     "is_valid_embedding",
     "lis_length",
     "match_backtracking",
@@ -107,8 +102,5 @@ __all__ = [
     "serialize_graph",
     "serialize_pattern",
     "serialize_permutation",
-    "simultaneous_multiset_match",
     "simultaneous_multiset_witness",
-    "validate_pattern",
-    "validate_permutation",
 ]

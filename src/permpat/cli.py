@@ -6,7 +6,8 @@ first-order form of an instance, and ``verify`` runs the property suites.
 
 Exit codes: 0 affirmative / all checks passed, 1 negative result or a
 refuted property (with counterexample), 2 usage error, 3 parse or
-validation error, 4 resource budget exceeded.
+validation error, 4 resource budget exceeded, 141 standard output closed
+by its reader before everything was written.
 
 Pattern and text arguments are taken inline; an argument starting with
 '@' names a file to read instead.  The brute-force budget may also be set
@@ -19,17 +20,9 @@ import argparse
 import os
 import sys
 
-from .core import BudgetExceededError, Embedding, ValidationError
+from .core import DEFAULT_BUDGET, BudgetExceededError, Embedding, ValidationError
 from .folog import encode_formula, encode_structure, export_instance, model_check
-from .matcher import (
-    DEFAULT_BUDGET,
-    MatchRequest,
-    Mode,
-    first_embedding,
-    match_backtracking,
-    match_bruteforce,
-    match_dispatch,
-)
+from .matcher import ENGINES, MatchRequest, Mode, match_dispatch
 from .reduction import KRangeError, format_trace, reduce
 from .textio import (
     ParseError,
@@ -46,6 +39,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 
 def _read_arg(arg: str) -> str:
@@ -55,13 +49,13 @@ def _read_arg(arg: str) -> str:
     return arg
 
 
-def _budget(args: argparse.Namespace) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("PERMPAT_BUDGET")
-    if env is not None and env.isdigit():
-        return int(env)
-    return DEFAULT_BUDGET
+def _budget(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"budget must be a non-negative integer, got {text!r} "
+            "(from --budget or PERMPAT_BUDGET)"
+        )
+    return int(text)
 
 
 def _format_positions(e: Embedding) -> str:
@@ -71,52 +65,24 @@ def _format_positions(e: Embedding) -> str:
 def _cmd_match(args: argparse.Namespace) -> int:
     pattern = parse_pattern(_read_arg(args.pattern))
     text = parse_permutation(_read_arg(args.text))
-    engine = args.engine
-    budget = _budget(args)
-    if engine == "fo" and (args.count or args.all):
+    mode = Mode.COUNT if args.count else Mode.ENUMERATE_ALL if args.all else Mode.DECIDE
+    if args.engine != "fo":
+        result = match_dispatch(MatchRequest(pattern, text, mode), args.engine, args.budget)
+    elif mode is not Mode.DECIDE:
         print("error: the fo engine only decides; drop --count/--all", file=sys.stderr)
         return EXIT_USAGE
-
-    if args.count:
-        if engine == "brute":
-            count = match_bruteforce(MatchRequest(pattern, text, Mode.COUNT), budget=budget)
-        elif engine == "backtrack":
-            count = match_backtracking(MatchRequest(pattern, text, Mode.COUNT))
-        else:
-            count = match_dispatch(MatchRequest(pattern, text, Mode.COUNT))
-        print(count)
-        return EXIT_OK if count > 0 else EXIT_NEGATIVE
-
-    if args.all:
-        if engine == "brute":
-            found = match_bruteforce(
-                MatchRequest(pattern, text, Mode.ENUMERATE_ALL), budget=budget
-            )
-        elif engine == "backtrack":
-            found = match_backtracking(MatchRequest(pattern, text, Mode.ENUMERATE_ALL))
-        else:
-            found = match_dispatch(MatchRequest(pattern, text, Mode.ENUMERATE_ALL))
-        for e in found:
-            print(_format_positions(e))
-        return EXIT_OK if found else EXIT_NEGATIVE
-
-    if engine == "fo":
+    else:  # the model checker shares no code with the engines
         witness = model_check(encode_structure(text), encode_formula(pattern))
-        embedding = Embedding(witness) if witness is not None else None
-    elif engine == "brute":
-        embedding = first_embedding(pattern, text, engine="brute", budget=budget)
-    elif engine == "backtrack":
-        embedding = first_embedding(pattern, text, engine="backtrack")
-    else:  # auto: decide via dispatch, then fetch a witness for the report
-        if match_dispatch(MatchRequest(pattern, text, Mode.DECIDE)):
-            embedding = first_embedding(pattern, text)
-        else:
-            embedding = None
-    if embedding is None:
-        print("NO MATCH")
-        return EXIT_NEGATIVE
-    print(f"MATCH {_format_positions(embedding)}")
-    return EXIT_OK
+        result = Embedding(witness) if witness is not None else None
+
+    if mode is Mode.COUNT:
+        print(result)
+    elif mode is Mode.ENUMERATE_ALL:
+        for e in result:
+            print(_format_positions(e))
+    else:
+        print(f"MATCH {_format_positions(result)}" if result else "NO MATCH")
+    return EXIT_OK if result else EXIT_NEGATIVE
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -189,10 +155,11 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--count", action="store_true", help="print the exact matching count")
     group.add_argument("--all", action="store_true",
                        help="print every embedding, lexicographically")
-    p_match.add_argument("--engine", choices=["auto", "brute", "backtrack", "fo"],
-                         default="auto")
-    p_match.add_argument("--budget", type=int, default=None,
-                         help="candidate budget for the brute engine")
+    p_match.add_argument("--engine", choices=[*ENGINES, "fo"], default="auto")
+    p_match.add_argument("--budget", type=_budget,
+                         default=os.environ.get("PERMPAT_BUDGET") or DEFAULT_BUDGET,
+                         help="candidate budget for the brute engine "
+                              "(default: $PERMPAT_BUDGET, else 10^8)")
     p_match.set_defaults(func=_cmd_match)
 
     p_reduce = sub.add_parser("reduce", help="build a matching instance from a graph")
@@ -226,7 +193,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here rather than at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at interpreter exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except KRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

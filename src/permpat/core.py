@@ -20,8 +20,7 @@ __all__ = [
     "Embedding",
     "MultisetHalves",
     "Graph",
-    "validate_permutation",
-    "validate_pattern",
+    "DEFAULT_BUDGET",
 ]
 
 
@@ -31,6 +30,10 @@ class ValidationError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive search would exceed its configured budget."""
+
+
+DEFAULT_BUDGET = 10**8
+"""Candidate count above which the exhaustive searches refuse to run."""
 
 
 def _as_int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -256,14 +259,3 @@ class Graph:
             if (u, v) not in self.edges
         )
 
-
-def validate_permutation(values: Iterable[int]) -> Permutation:
-    """Build a Permutation, rejecting anything that is not a bijection onto 1..n."""
-    return Permutation(tuple(values))
-
-
-def validate_pattern(
-    values: Iterable[int], blocks: Iterable[tuple[int, int]] = ()
-) -> GeneralizedPattern:
-    """Build a GeneralizedPattern, rejecting invalid values or block layouts."""
-    return GeneralizedPattern(tuple(values), tuple(tuple(b) for b in blocks))

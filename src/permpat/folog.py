@@ -203,9 +203,12 @@ def parse_instance(text: str) -> tuple[FoStructure, FoFormula]:
         if len(args) != arity or not all(a.isdigit() for a in args):
             raise ParseError(f"malformed {fields[0]!r} line", line=lineno)
         target.add(tuple(int(a) for a in args) if arity == 2 else int(args[0]))
-    values = [0] * n
-    for x in range(1, n + 1):
-        values[x - 1] = 1 + sum(1 for (a, b) in tl if b == x)
+    # the value at x is one more than the number of positions below it
+    values = [1] * n
+    for a, b in tl:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ParseError(f"text_less pair ({a}, {b}) outside positions 1..{n}")
+        values[b - 1] += 1
     try:
         structure = FoStructure(tuple(values))
     except ValidationError as exc:

@@ -12,10 +12,13 @@ Two independent engines answer decide/count/enumerate queries:
   placement unit, lays units down left to right and checks order
   consistency incrementally.  It is the workhorse and carries no budget.
 
-Both engines return identical results in every mode, including the
-lexicographic order of enumerated embeddings.  ``match_dispatch`` adds a
-longest-increasing-subsequence fast path for deciding classical identity
-patterns and routes everything else to the backtracking engine.
+Both engines return identical results in every mode: DECIDE gives the
+lexicographically least embedding or None, COUNT the number of
+embeddings, ENUMERATE_ALL every embedding in lexicographic order.
+``match_dispatch`` is the one place an engine is chosen; its ``auto``
+engine answers DECIDE on classical identity patterns with a
+longest-increasing-subsequence witness and sends everything else to the
+backtracking engine.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .core import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     Embedding,
     GeneralizedPattern,
@@ -35,7 +39,7 @@ from .core import (
 )
 
 __all__ = [
-    "DEFAULT_BUDGET",
+    "ENGINES",
     "Mode",
     "MatchRequest",
     "is_valid_embedding",
@@ -46,7 +50,7 @@ __all__ = [
     "lis_length",
 ]
 
-DEFAULT_BUDGET = 10**8
+ENGINES = ("auto", "brute", "backtrack")
 
 
 class Mode(enum.Enum):
@@ -173,17 +177,20 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
     yield from place(0, -1)
 
 
-def _run(gen: Iterator[tuple[int, ...]], mode: Mode) -> bool | int | list[Embedding]:
-    if mode is Mode.DECIDE:
-        return next(gen, None) is not None
+def _run(
+    gen: Iterator[tuple[int, ...]], mode: Mode
+) -> Embedding | int | list[Embedding] | None:
     if mode is Mode.COUNT:
         return sum(1 for _ in gen)
-    return [Embedding(tuple(p + 1 for p in combo)) for combo in gen]
+    found = (Embedding(tuple(p + 1 for p in combo)) for combo in gen)
+    if mode is Mode.DECIDE:
+        return next(found, None)
+    return list(found)
 
 
 def match_bruteforce(
     req: MatchRequest, budget: int = DEFAULT_BUDGET
-) -> bool | int | list[Embedding]:
+) -> Embedding | int | list[Embedding] | None:
     """Exhaustive filter over all C(n, k) position tuples.
 
     Refuses (BudgetExceededError) when the candidate count exceeds the
@@ -197,57 +204,74 @@ def match_bruteforce(
     return _run(_iter_bruteforce(req.pattern, req.text), req.mode)
 
 
-def match_backtracking(req: MatchRequest) -> bool | int | list[Embedding]:
+def match_backtracking(req: MatchRequest) -> Embedding | int | list[Embedding] | None:
     """Placement-unit backtracking; observably identical to match_bruteforce."""
     return _run(_iter_backtracking(req.pattern, req.text), req.mode)
 
 
-def lis_length(t: Permutation) -> int:
-    """Length of the longest increasing subsequence, in O(n log n)."""
+def _longest_runs_from(values: tuple[int, ...]) -> list[int]:
+    """For each index i, the length of the longest increasing subsequence
+    that starts at i; one right-to-left patience pass, O(n log n)."""
+    runs = [0] * len(values)
+    # tails[j]: minus the largest first value of an increasing run of length j + 1
     tails: list[int] = []
-    for v in t.values:
-        i = bisect_left(tails, v)
-        if i == len(tails):
+    for i in range(len(values) - 1, -1, -1):
+        v = -values[i]
+        j = bisect_left(tails, v)
+        if j == len(tails):
             tails.append(v)
         else:
-            tails[i] = v
-    return len(tails)
+            tails[j] = v
+        runs[i] = j + 1
+    return runs
+
+
+def lis_length(t: Permutation) -> int:
+    """Length of the longest increasing subsequence, in O(n log n)."""
+    return max(_longest_runs_from(t.values))
+
+
+def _lis_witness(t: Permutation, k: int) -> Embedding | None:
+    """The lexicographically least embedding of the identity pattern 1..k.
+
+    Scanning left to right, the next position is the first one whose value
+    exceeds the last one taken and from which an increasing run is long
+    enough to finish the pattern; any earlier position fails one of the two.
+    """
+    runs = _longest_runs_from(t.values)
+    positions: list[int] = []
+    last = 0
+    for i, v in enumerate(t.values):
+        if len(positions) == k:
+            break
+        if v > last and runs[i] >= k - len(positions):
+            positions.append(i + 1)
+            last = v
+    return Embedding(tuple(positions)) if len(positions) == k else None
 
 
 def _is_identity_pattern(p: GeneralizedPattern) -> bool:
     return p.is_classical and p.values == tuple(range(1, p.k + 1))
 
 
-def match_dispatch(req: MatchRequest) -> bool | int | list[Embedding]:
-    """Default engine selection: decide classical identity patterns via
-    lis_length, run everything else through the backtracking engine."""
-    if req.mode is Mode.DECIDE and _is_identity_pattern(req.pattern):
-        return lis_length(req.text) >= req.pattern.k
-    return match_backtracking(req)
+def match_dispatch(
+    req: MatchRequest, engine: str = "auto", budget: int = DEFAULT_BUDGET
+) -> Embedding | int | list[Embedding] | None:
+    """Answer req with one of ENGINES; the budget binds only the brute engine.
 
-
-def first_embedding(
-    p: GeneralizedPattern,
-    t: Permutation,
-    engine: str = "backtrack",
-    budget: int = DEFAULT_BUDGET,
-) -> Embedding | None:
-    """The lexicographically least embedding of p into t, or None.
-
-    engine is "backtrack" or "brute"; the brute engine honours the budget.
+    ``auto`` decides classical identity patterns through the
+    longest-increasing-subsequence witness and runs everything else
+    through the backtracking engine.
     """
     if engine == "brute":
-        candidates = math.comb(t.n, p.k)
-        if candidates > budget:
-            raise BudgetExceededError(
-                f"C({t.n}, {p.k}) = {candidates} exceeds budget {budget}"
-            )
-        gen = _iter_bruteforce(p, t)
-    elif engine == "backtrack":
-        gen = _iter_backtracking(p, t)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    combo = next(gen, None)
-    if combo is None:
-        return None
-    return Embedding(tuple(q + 1 for q in combo))
+        return match_bruteforce(req, budget)
+    if engine == "auto" and req.mode is Mode.DECIDE and _is_identity_pattern(req.pattern):
+        return _lis_witness(req.text, req.pattern.k)
+    if engine in ("auto", "backtrack"):
+        return match_backtracking(req)
+    raise ValueError(f"unknown engine {engine!r}")
+
+
+def first_embedding(p: GeneralizedPattern, t: Permutation) -> Embedding | None:
+    """The lexicographically least embedding of p into t, or None."""
+    return match_dispatch(MatchRequest(p, t))

@@ -36,6 +36,7 @@ from itertools import combinations
 from typing import Callable
 
 from .core import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     Embedding,
     GeneralizedPattern,
@@ -53,16 +54,11 @@ __all__ = [
     "deduplicate_with_reals",
     "attach_separator",
     "reduce",
-    "independent_set_oracle",
     "find_independent_set",
-    "simultaneous_multiset_match",
     "simultaneous_multiset_witness",
     "matched_vertices",
     "format_trace",
 ]
-
-DEFAULT_BUDGET = 10**8
-
 
 class KRangeError(ValueError):
     """The requested subset size is outside 1..l, where the construction
@@ -273,11 +269,6 @@ def find_independent_set(
     return None
 
 
-def independent_set_oracle(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """Exhaustive check over all C(l, k) vertex subsets."""
-    return find_independent_set(g, k, budget) is not None
-
-
 def simultaneous_multiset_witness(
     pattern: MultisetHalves, text: MultisetHalves
 ) -> tuple[int, ...] | None:
@@ -286,7 +277,9 @@ def simultaneous_multiset_witness(
 
     The map sends the pattern dot values (ascending) to a k-subset of text
     dot values; it works when the image of every pattern bar block is one
-    of the text bar blocks.  Dot halves are ascending by construction.
+    of the text bar blocks.  Dot halves are ascending by construction.  On
+    constructed instances a map exists exactly when the graph has an
+    independent set of size k.
     """
     k = len(pattern.dot)
     text_blocks = set(text.bar)
@@ -295,12 +288,6 @@ def simultaneous_multiset_witness(
         if all(tuple(mu[v] for v in block) in text_blocks for block in pattern.bar):
             return chosen
     return None
-
-
-def simultaneous_multiset_match(pattern: MultisetHalves, text: MultisetHalves) -> bool:
-    """True iff the stage-1 halves admit a simultaneous matching; on
-    constructed instances this is precisely the independent-set answer."""
-    return simultaneous_multiset_witness(pattern, text) is not None
 
 
 def matched_vertices(trace: ReductionTrace, e: Embedding) -> tuple[int, ...]:

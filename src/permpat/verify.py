@@ -25,9 +25,9 @@ from .folog import encode_formula, encode_structure, model_check
 from .reduction import (
     deduplicate,
     deduplicate_with_reals,
-    independent_set_oracle,
+    find_independent_set,
     reduce,
-    simultaneous_multiset_match,
+    simultaneous_multiset_witness,
 )
 from .textio import serialize_graph, serialize_pattern, serialize_permutation
 
@@ -146,7 +146,7 @@ def suite_engines(
                     counts[(p, t)] = count_back
                     if not (
                         enum_brute == enum_back
-                        and decide_brute == decide_back == bool(enum_brute)
+                        and decide_brute == decide_back == (enum_brute[0] if enum_brute else None)
                         and count_brute == count_back == len(enum_brute)
                     ):
                         mismatch = mismatch or _pattern_text_label(p, t)
@@ -276,11 +276,14 @@ def suite_reduction(
         for k in range(1, min(max_k, g.l) + 1):
             instances += 1
             trace = reduce(g, k)
-            expected = independent_set_oracle(g, k)
+            expected = find_independent_set(g, k) is not None
             final = match_dispatch(
                 MatchRequest(trace.stage3_pattern, trace.stage3_text, Mode.DECIDE)
+            ) is not None
+            multiset = (
+                simultaneous_multiset_witness(trace.stage1_pattern, trace.stage1_text)
+                is not None
             )
-            multiset = simultaneous_multiset_match(trace.stage1_pattern, trace.stage1_text)
             if final == expected:
                 agree += 1
             else:
@@ -372,7 +375,7 @@ def suite_fo(
         pairs += 1
         witness = model_check(encode_structure(t), encode_formula(p))
         decided = match_dispatch(MatchRequest(p, t, Mode.DECIDE))
-        if (witness is not None) != decided:
+        if witness != (decided.positions if decided else None):
             agree_bad = agree_bad or _pattern_text_label(p, t)
             return
         if witness is not None:
@@ -404,7 +407,7 @@ def suite_fo(
             "fo decider agreement",
             agree_bad is None,
             pairs,
-            f"model checking agrees with the matcher on {pairs} instances",
+            f"model checking finds the matcher's witness on {pairs} instances",
             agree_bad,
         ),
         CheckResult(
@@ -425,7 +428,8 @@ def suite_fo(
 
 
 def suite_lis(samples: int = 500, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
-    """Fast-path consistency: lis_length against brute-force identity decisions."""
+    """Fast-path consistency: lis_length and the identity-pattern witness of
+    match_dispatch against brute-force identity decisions."""
     rng = random.Random(seed)
     bad: str | None = None
     checked = 0
@@ -435,16 +439,17 @@ def suite_lis(samples: int = 500, max_n: int = 12, seed: int = 0) -> list[CheckR
         length = lis_length(t)
         for k in range(1, n + 1):
             checked += 1
-            identity = GeneralizedPattern(tuple(range(1, k + 1)), ())
-            brute = match_bruteforce(MatchRequest(identity, t, Mode.DECIDE))
-            if (length >= k) != brute:
+            identity = MatchRequest(GeneralizedPattern(tuple(range(1, k + 1)), ()), t)
+            brute = match_bruteforce(identity)
+            if (length >= k) != (brute is not None) or match_dispatch(identity) != brute:
                 bad = bad or f"text: {serialize_permutation(t)} (k={k})"
     return [
         CheckResult(
             "lis fast path",
             bad is None,
             checked,
-            f"lis_length >= k equals the brute-force identity decision on {checked} queries",
+            f"lis_length >= k and the fast-path witness equal the brute-force identity "
+            f"decision on {checked} queries",
             bad,
         )
     ]

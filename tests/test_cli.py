@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from permpat import matcher
 from permpat.cli import main
 from permpat.folog import parse_instance
 from permpat.textio import parse_pattern, parse_permutation
@@ -84,6 +85,57 @@ def test_match_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("PERMPAT_BUDGET", "100")
     code, out, _ = run(capsys, "match", "-p", "1 2", "-t", "1 2 3", "--engine", "brute")
     assert code == 0
+
+
+def test_match_budget_rejects_negative_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["match", "-p", "1 2", "-t", "1 2 3", "--engine", "brute", "--budget", "-5"])
+    assert exc.value.code == 2
+    assert "'-5'" in capsys.readouterr().err
+
+
+def test_match_budget_rejects_malformed_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("PERMPAT_BUDGET", "1e3")
+    with pytest.raises(SystemExit) as exc:
+        main(["match", "-p", "1 2", "-t", "1 2 3", "--engine", "brute"])
+    assert exc.value.code == 2
+    assert "'1e3'" in capsys.readouterr().err
+
+
+def test_match_auto_searches_once(capsys, monkeypatch):
+    calls = []
+    search = matcher._iter_backtracking
+
+    def counted(pattern, text):
+        calls.append(pattern)
+        return search(pattern, text)
+
+    monkeypatch.setattr(matcher, "_iter_backtracking", counted)
+    code, out, _ = run(capsys, "match", "-p", "[3 1] 2", "-t", "53142")
+    assert (code, out) == (0, "MATCH (1,2,4)\n")
+    assert len(calls) == 1
+
+
+def test_match_deep_identity_pattern(capsys):
+    pattern = " ".join(str(v) for v in range(1, 1001))
+    text = " ".join(str(v) for v in range(1, 1011))
+    code, out, _ = run(capsys, "match", "-p", pattern, "-t", text)
+    assert code == 0
+    assert out == "MATCH (" + ",".join(str(v) for v in range(1, 1001)) + ")\n"
+
+
+def test_match_all_into_closed_pipe_exits_141():
+    text = " ".join(str(v) for v in range(1, 400))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permpat", "match", "-p", "1 2", "-t", text, "--all"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"(1,2)\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_match_fo_engine_rejects_count(capsys):

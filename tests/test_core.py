@@ -10,63 +10,61 @@ from permpat.core import (
     MultisetHalves,
     Permutation,
     ValidationError,
-    validate_pattern,
-    validate_permutation,
 )
 
 
 def test_validate_permutation_accepts_valid():
-    p = validate_permutation([5, 3, 1, 4, 2])
+    p = Permutation((5, 3, 1, 4, 2))
     assert p.values == (5, 3, 1, 4, 2)
     assert p.n == 5
-    assert validate_permutation([1]).n == 1
+    assert Permutation((1,)).n == 1
 
 
 def test_validate_permutation_reports_duplicate_with_position():
     with pytest.raises(ValidationError, match=r"duplicate 1 at position 2"):
-        validate_permutation([1, 1, 2])
+        Permutation((1, 1, 2))
 
 
 def test_validate_permutation_reports_out_of_range():
     with pytest.raises(ValidationError, match=r"out of range"):
-        validate_permutation([1, 3])
+        Permutation((1, 3))
     with pytest.raises(ValidationError, match=r"out of range"):
-        validate_permutation([0, 1])
+        Permutation((0, 1))
 
 
 def test_validate_permutation_rejects_empty():
     with pytest.raises(ValidationError):
-        validate_permutation([])
+        Permutation(())
 
 
 def test_validate_pattern_accepts_blocked_and_classical():
-    p = validate_pattern([3, 1, 2], [(1, 2)])
+    p = GeneralizedPattern((3, 1, 2), ((1, 2),))
     assert p.values == (3, 1, 2)
     assert p.blocks == ((1, 2),)
     assert not p.is_classical
-    assert validate_pattern([3, 1, 2]).is_classical
+    assert GeneralizedPattern((3, 1, 2)).is_classical
 
 
 def test_validate_pattern_distinct_errors():
     with pytest.raises(ValidationError, match=r"duplicate"):
-        validate_pattern([1, 1], [])
+        GeneralizedPattern((1, 1), ())
     with pytest.raises(ValidationError, match=r"length < 2"):
-        validate_pattern([3, 1, 2], [(2, 2)])
+        GeneralizedPattern((3, 1, 2), ((2, 2),))
     with pytest.raises(ValidationError, match=r"exceeds pattern bounds"):
-        validate_pattern([3, 1, 2], [(2, 4)])
+        GeneralizedPattern((3, 1, 2), ((2, 4),))
     with pytest.raises(ValidationError, match=r"overlaps"):
-        validate_pattern([3, 1, 2, 4], [(1, 2), (2, 3)])
+        GeneralizedPattern((3, 1, 2, 4), ((1, 2), (2, 3)))
     with pytest.raises(ValidationError, match=r"overlaps"):
-        validate_pattern([3, 1, 2, 4], [(1, 4), (2, 3)])  # nested
+        GeneralizedPattern((3, 1, 2, 4), ((1, 4), (2, 3)))  # nested
 
 
 def test_pattern_blocks_are_normalized_left_to_right():
-    p = validate_pattern([4, 3, 2, 1], [(3, 4), (1, 2)])
+    p = GeneralizedPattern((4, 3, 2, 1), ((3, 4), (1, 2)))
     assert p.blocks == ((1, 2), (3, 4))
 
 
 def test_whole_pattern_may_be_one_block():
-    p = validate_pattern([3, 1, 2], [(1, 3)])
+    p = GeneralizedPattern((3, 1, 2), ((1, 3),))
     assert p.blocks == ((1, 3),)
 
 
@@ -76,7 +74,7 @@ def test_classical_pattern_roundtrips_through_permutation():
     assert p.is_classical
     assert p.to_permutation() == perm
     with pytest.raises(ValidationError):
-        validate_pattern([3, 1, 2], [(1, 2)]).to_permutation()
+        GeneralizedPattern((3, 1, 2), ((1, 2),)).to_permutation()
 
 
 def test_embedding_must_strictly_increase():
@@ -120,11 +118,12 @@ def test_types_are_immutable_and_hashable():
     with pytest.raises(AttributeError):
         p.values = (1, 2)
     assert {p: 1}[Permutation((2, 1))] == 1
-    assert hash(validate_pattern([1, 2], [(1, 2)])) == hash(validate_pattern([1, 2], [(1, 2)]))
+    blocked = ((1, 2),)
+    assert hash(GeneralizedPattern((1, 2), blocked)) == hash(GeneralizedPattern((1, 2), blocked))
 
 
 def test_complement_keeps_blocks_and_is_an_involution():
-    p = validate_pattern([3, 1, 2], [(1, 2)])
+    p = GeneralizedPattern((3, 1, 2), ((1, 2),))
     c = p.complement()
     assert c.values == (1, 3, 2)
     assert c.blocks == p.blocks

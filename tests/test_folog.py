@@ -154,6 +154,10 @@ def test_parse_instance_rejects_garbage():
     # missing succ pair
     with pytest.raises(ParseError):
         parse_instance("fo 2 2\ntl 1 2\npos 1 2")
+    # text_less pairs naming positions outside 1..n
+    for pair in ("1 3", "0 1", "3 1"):
+        with pytest.raises(ParseError, match="outside"):
+            parse_instance(f"fo 2 2\ntl {pair}\ntl 1 2\ns 1 2\npos 1 2")
 
 
 def test_k_larger_than_n_is_representable_and_false():

@@ -31,19 +31,19 @@ def both(request):
 
 
 def test_example_text_contains_312():
-    assert both(req(parse_pattern("3 1 2"))) is True
+    assert both(req(parse_pattern("3 1 2"))) == Embedding((1, 2, 4))
 
 
 def test_example_text_avoids_123():
-    assert both(req(parse_pattern("1 2 3"))) is False
+    assert both(req(parse_pattern("1 2 3"))) is None
 
 
 def test_example_text_avoids_fully_blocked_312():
-    assert both(req(parse_pattern("[3 1 2]"))) is False
+    assert both(req(parse_pattern("[3 1 2]"))) is None
 
 
 def test_example_text_contains_vincular_31_2():
-    assert both(req(parse_pattern("[3 1] 2"))) is True
+    assert both(req(parse_pattern("[3 1] 2"))) == Embedding((1, 2, 4))
 
 
 def test_counts_in_example_text():
@@ -80,14 +80,14 @@ def test_every_enumerated_embedding_is_valid():
 
 def test_adjacent_increasing_pair_in_example_text():
     p = parse_pattern("[1 2]")
-    assert both(req(p)) is True
+    assert both(req(p)) == Embedding((3, 4))
     assert first_embedding(p, T).positions == (3, 4)
 
 
 def test_no_match_cases():
-    assert both(MatchRequest(parse_pattern("1 2"), parse_permutation("21"))) is False
+    assert both(MatchRequest(parse_pattern("1 2"), parse_permutation("21"))) is None
     long_pattern = GeneralizedPattern(tuple([2, 1, 3, 4, 5, 6]), ())
-    assert match_backtracking(MatchRequest(long_pattern, parse_permutation("53142"))) is False
+    assert match_backtracking(MatchRequest(long_pattern, parse_permutation("53142"))) is None
     assert match_backtracking(
         MatchRequest(long_pattern, parse_permutation("53142"), Mode.COUNT)
     ) == 0
@@ -104,9 +104,9 @@ def test_lis_examples():
 
 
 def test_dispatch_uses_lis_for_identity_and_matches_engines():
-    assert match_dispatch(req(parse_pattern("1 2 3"))) is False
-    assert match_dispatch(req(parse_pattern("1 2"))) is True
-    assert match_dispatch(req(parse_pattern("[1 2]"))) is True
+    assert match_dispatch(req(parse_pattern("1 2 3"))) is None
+    assert match_dispatch(req(parse_pattern("1 2"))) == Embedding((2, 4))
+    assert match_dispatch(req(parse_pattern("[1 2]"))) == Embedding((3, 4))
     rng = random.Random(3)
     for _ in range(100):
         n = rng.randint(1, 9)
@@ -129,7 +129,7 @@ def test_budget_guard_refuses_large_bruteforce():
     with pytest.raises(BudgetExceededError):
         match_bruteforce(MatchRequest(p, t), budget=10**6)
     # the workhorse takes the same instance without a budget
-    assert match_backtracking(MatchRequest(p, t)) is True
+    assert match_backtracking(MatchRequest(p, t)) == Embedding(tuple(range(1, 11)))
 
 
 def test_engines_agree_exhaustively_small():
@@ -182,4 +182,28 @@ def test_first_embedding_is_least_and_engine_consistent():
         found = match_backtracking(MatchRequest(p, t, Mode.ENUMERATE_ALL))
         expected = found[0] if found else None
         assert first_embedding(p, t) == expected
-        assert first_embedding(p, t, engine="brute") == expected
+        assert match_dispatch(MatchRequest(p, t), engine="brute") == expected
+
+
+def test_dispatch_identity_witness_equals_brute_exhaustively():
+    for n in range(1, 7):
+        for t in all_texts(n):
+            for k in range(1, n + 2):
+                identity = MatchRequest(GeneralizedPattern(tuple(range(1, k + 1)), ()), t)
+                found = match_bruteforce(MatchRequest(identity.pattern, t, Mode.ENUMERATE_ALL))
+                least = found[0] if found else None
+                assert match_dispatch(identity) == match_bruteforce(identity) == least
+
+
+def test_dispatch_engine_table():
+    p = parse_pattern("[3 1] 2")
+    for engine in ("auto", "brute", "backtrack"):
+        for mode in Mode:
+            assert match_dispatch(req(p, mode), engine) == match_backtracking(req(p, mode))
+    t = Permutation(tuple(range(1, 41)))
+    big = MatchRequest(GeneralizedPattern(tuple(range(1, 11)), ()), t)
+    with pytest.raises(BudgetExceededError):
+        match_dispatch(big, "brute", budget=10**6)
+    assert match_dispatch(big, "auto", budget=0) == Embedding(tuple(range(1, 11)))
+    with pytest.raises(ValueError, match="unknown engine"):
+        match_dispatch(big, "fo")

@@ -13,10 +13,8 @@ from permpat.reduction import (
     deduplicate_with_reals,
     find_independent_set,
     format_trace,
-    independent_set_oracle,
     matched_vertices,
     reduce,
-    simultaneous_multiset_match,
     simultaneous_multiset_witness,
 )
 from permpat.textio import parse_graph, parse_pattern, serialize_pattern
@@ -132,7 +130,7 @@ def test_reduce_sizes():
     assert len(trace.stage3_pattern) == 11
     trace = reduce(K3, 3)
     assert len(trace.stage3_text) == 10
-    assert match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text)) is False
+    assert match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text)) is None
 
 
 def test_reduce_text_bound_tight_exactly_for_edge_free_graphs():
@@ -146,20 +144,19 @@ def test_reduce_text_bound_tight_exactly_for_edge_free_graphs():
 
 
 def test_independent_set_oracle_examples():
-    assert independent_set_oracle(REFERENCE_GRAPH, 3) is True
     assert find_independent_set(REFERENCE_GRAPH, 3) == (2, 3, 5)
-    assert independent_set_oracle(K3, 2) is False
-    assert independent_set_oracle(Graph(4, frozenset()), 4) is True
-    assert independent_set_oracle(REFERENCE_GRAPH, 7) is False
+    assert find_independent_set(K3, 2) is None
+    assert find_independent_set(Graph(4, frozenset()), 4) == (1, 2, 3, 4)
+    assert find_independent_set(REFERENCE_GRAPH, 7) is None
 
 
 def test_simultaneous_multiset_match_examples():
     pattern, text = build_multiset_instance(REFERENCE_GRAPH, 3)
     assert simultaneous_multiset_witness(pattern, text) == (2, 3, 5)
     k3_pattern, k3_text = build_multiset_instance(K3, 2)
-    assert simultaneous_multiset_match(k3_pattern, k3_text) is False
+    assert simultaneous_multiset_witness(k3_pattern, k3_text) is None
     one_pattern, one_text = build_multiset_instance(K3, 1)
-    assert simultaneous_multiset_match(one_pattern, one_text) is True
+    assert simultaneous_multiset_witness(one_pattern, one_text) == (1,)
 
 
 def test_matched_vertices_on_the_worked_example():
@@ -199,9 +196,11 @@ def test_end_to_end_agreement_small_random():
         g = random_graph(rng, rng.randint(1, 6))
         k = rng.randint(1, min(3, g.l))
         trace = reduce(g, k)
-        expected = independent_set_oracle(g, k)
-        assert simultaneous_multiset_match(trace.stage1_pattern, trace.stage1_text) == expected
-        assert match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text)) == expected
+        expected = find_independent_set(g, k) is not None
+        multiset = simultaneous_multiset_witness(trace.stage1_pattern, trace.stage1_text)
+        assert (multiset is not None) == expected
+        final = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
+        assert (final is not None) == expected
 
 
 def test_parse_graph_file_drives_reduce():

@@ -1,3 +1,5 @@
+from permpat import verify
+from permpat.matcher import MatchRequest, Mode, match_dispatch
 from permpat.verify import (
     all_block_configs,
     all_patterns,
@@ -65,3 +67,23 @@ def test_run_suites_selects_suites():
     }
     only_fo = run_suites("fo", max_n=3, max_k=2, samples=5, seed=0)
     assert all("fo" in r.name or "formula" in r.name for r in only_fo)
+
+
+def _last_embedding(req, *args, **kwargs):
+    """A wrong decider: a valid witness, but the greatest one, not the least."""
+    if req.mode is not Mode.DECIDE:
+        return match_dispatch(req)
+    found = match_dispatch(MatchRequest(req.pattern, req.text, Mode.ENUMERATE_ALL))
+    return found[-1] if found else None
+
+
+def test_suites_reject_a_witness_that_is_not_the_least(monkeypatch):
+    monkeypatch.setattr(verify, "match_dispatch", _last_embedding)
+    lis = {r.name: r for r in suite_lis(samples=30, seed=1)}
+    assert not lis["lis fast path"].ok
+    fo = {r.name: r for r in suite_fo(max_n=4, max_k=3, samples=0, seed=1)}
+    assert not fo["fo decider agreement"].ok
+    monkeypatch.setattr(verify, "match_bruteforce", _last_embedding)
+    monkeypatch.setattr(verify, "match_backtracking", _last_embedding)
+    engines = {r.name: r for r in suite_engines(max_n=4, max_k=3, samples=0, seed=1)}
+    assert not engines["engine equivalence"].ok
