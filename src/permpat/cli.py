@@ -6,8 +6,9 @@ first-order form of an instance, and ``verify`` runs the property suites.
 
 Exit codes: 0 affirmative / all checks passed, 1 negative result or a
 refuted property (with counterexample), 2 usage error, 3 parse or
-validation error, 4 resource budget exceeded, 141 standard output closed
-by its reader before everything was written.
+validation error, 4 resource budget exceeded, 70 internal error (a
+fault in permpat itself, reported on stderr without a traceback), 141
+standard output closed by its reader before everything was written.
 
 Pattern and text arguments are taken inline; an argument starting with
 '@' names a file to read instead.  The brute-force budget may also be set
@@ -39,6 +40,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 
@@ -178,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fo.set_defaults(func=_cmd_encode_fo)
 
     p_verify = sub.add_parser("verify", help="run the property suites")
-    p_verify.add_argument("--suite", choices=["engines", "reduction", "fo", "all"],
+    p_verify.add_argument("--suite", choices=["engines", "reduction", "fo", "lis", "all"],
                           default="all")
     p_verify.add_argument("--max-n", type=int, default=6, dest="max_n")
     p_verify.add_argument("--max-k", type=int, default=4, dest="max_k")
@@ -212,6 +214,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as exc:  # a bug, never to be mistaken for an answer
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ between the two is a meaningful consistency check, not a tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import GeneralizedPattern, Permutation, ValidationError
 from .textio import ParseError
@@ -123,9 +122,10 @@ def encode_formula(p: GeneralizedPattern) -> FoFormula:
 def model_check(s: FoStructure, f: FoFormula) -> tuple[int, ...] | None:
     """The lexicographically least satisfying assignment, or None.
 
-    Plain backtracking along the implicit chain: candidates for x_j are
-    tried in increasing order above x_{j-1}, each checked against every
-    literal whose variables are all assigned.
+    Plain backtracking along the implicit chain, kept on an explicit stack
+    so that no pattern is too long for it: candidates for x_j are tried in
+    increasing order above x_{j-1}, each checked against every literal
+    whose variables are all assigned.
     """
     n = s.n
     k = f.var_count
@@ -137,33 +137,36 @@ def model_check(s: FoStructure, f: FoFormula) -> tuple[int, ...] | None:
     for i, j in f.neg_literals:
         neg_by_j[j].append(i)
     adj = f.adj_literals
-    assignment = [0] * (k + 1)
-
-    def extend(j: int) -> tuple[int, ...] | None:
-        if j > k:
-            return tuple(assignment[1:])
-        if j > 1 and (j - 1) in adj:
-            candidates: Iterator[int] = iter((assignment[j - 1] + 1,))
-        else:
-            low = assignment[j - 1] + 1 if j > 1 else 1
-            candidates = iter(range(low, n - (k - j) + 1))
-        for x in candidates:
-            if x > n:
-                break
-            vx = values[x - 1]
-            ok = all(values[assignment[i] - 1] < vx for i in pos_by_j[j]) and not any(
-                values[assignment[i] - 1] < vx for i in neg_by_j[j]
-            )
-            if ok:
-                assignment[j] = x
-                found = extend(j + 1)
-                if found is not None:
-                    return found
-        return None
-
     if k > n:
         return None
-    return extend(1)
+    assignment = [0] * (k + 1)
+    # the explicit stack: candidate[j] is the next value to try for x_j
+    candidate = [0] * (k + 2)
+    candidate[1] = 1
+    j = 1
+    while j >= 1:
+        if j > 1 and (j - 1) in adj:
+            last = min(assignment[j - 1] + 1, n)
+        else:
+            last = n - (k - j)
+        x = candidate[j]
+        while x <= last:
+            vx = values[x - 1]
+            if all(values[assignment[i] - 1] < vx for i in pos_by_j[j]) and not any(
+                values[assignment[i] - 1] < vx for i in neg_by_j[j]
+            ):
+                break
+            x += 1
+        if x > last:
+            j -= 1  # x_j has no candidate left: resume x_{j-1}
+            continue
+        assignment[j] = x
+        candidate[j] = x + 1
+        if j == k:
+            return tuple(assignment[1:])
+        j += 1
+        candidate[j] = x + 1
+    return None
 
 
 def export_instance(s: FoStructure, f: FoFormula) -> str:

@@ -9,8 +9,15 @@ Two independent engines answer decide/count/enumerate queries:
 * ``match_bruteforce`` filters every strictly increasing k-tuple of text
   positions.  It is the oracle and refuses to run past a candidate budget.
 * ``match_backtracking`` collapses each adjacency block into a single
-  placement unit, lays units down left to right and checks order
-  consistency incrementally.  It is the workhorse and carries no budget.
+  placement unit and lays units down left to right from an explicit
+  stack, never by recursion.  It is the workhorse and carries no budget.
+  Three rules, each computed once per query, prune it: a placement is one
+  value-window test against the nearest earlier value neighbours (not
+  one comparison per earlier index); a block only starts at the text
+  factors order-isomorphic to it (order-preserving pattern matching,
+  Kubica et al. 2013, Kim et al. 2014); and each unit's scan stops at its
+  latest feasible start, found in one right-to-left pass over those
+  candidates, so a unit with no room left ends the search at once.
 
 Both engines return identical results in every mode: DECIDE gives the
 lexicographically least embedding or None, COUNT the number of
@@ -25,10 +32,12 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator
+from functools import lru_cache
+from itertools import combinations, compress
+from operator import lt
+from typing import Iterator, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -139,42 +148,157 @@ def _iter_bruteforce(pattern: GeneralizedPattern, text: Permutation) -> Iterator
                 yield combo
 
 
+def _value_neighbours(pv: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """For each pattern index i, the earlier index holding the nearest smaller
+    value and the one holding the nearest larger value; k and k + 1 stand
+    for "none"."""
+    k = len(pv)
+    below = [k] * k
+    above = [k + 1] * k
+    index_of = [0] * (k + 1)
+    seen: list[int] = []  # values at the earlier indices, sorted
+    for i, v in enumerate(pv):
+        j = bisect_left(seen, v)
+        if j:
+            below[i] = index_of[seen[j - 1]]
+        if j < len(seen):
+            above[i] = index_of[seen[j]]
+        seen.insert(j, v)
+        index_of[v] = i
+    return below, above
+
+
+def _factor_starts(order: tuple[int, ...], tv: tuple[int, ...]) -> list[int]:
+    """Sorted 0-based starts of the text factors order-isomorphic to a block
+    whose offsets, sorted by value, are ``order``."""
+    m = len(tv) - len(order) + 1
+    if m <= 0:
+        return []
+    # one comparison stream per pair of value-consecutive block offsets
+    rises = [map(lt, tv[x:x + m], tv[y:y + m]) for x, y in zip(order, order[1:])]
+    return list(compress(range(m), map(all, zip(*rises))))
+
+
+@lru_cache(maxsize=64)
+def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
+    """The text-independent part of a backtracking search, kept for reuse
+    across texts, as (units, below, above, windows, orders):
+
+    * units: the placement units, see ``_units``;
+    * below, above: the nearest earlier value neighbours, see
+      ``_value_neighbours``;
+    * windows: per unit, its window tests as (offset, below, above).  A
+      block skips neighbours inside itself, since order-isomorphism of its
+      start already implies them;
+    * orders: per unit, its offsets sorted by value; () for a singleton.
+    """
+    pv = pattern.values
+    k = len(pv)
+    units = _units(pattern)
+    below, above = _value_neighbours(pv)
+    windows = []
+    orders = []
+    for p, length in units:
+        tests = []
+        for d in range(length):
+            lo = k if p <= below[p + d] < p + length else below[p + d]
+            hi = k + 1 if p <= above[p + d] < p + length else above[p + d]
+            if lo != k or hi != k + 1:
+                tests.append((d, lo, hi))
+        windows.append(tuple(tests))
+        block = sorted(range(length), key=lambda d: pv[p + d]) if length > 1 else ()
+        orders.append(tuple(block))
+    return units, tuple(below), tuple(above), tuple(windows), tuple(orders)
+
+
+def _candidate_starts(
+    orders: tuple[tuple[int, ...], ...], tv: tuple[int, ...]
+) -> list[Sequence[int]]:
+    """Per placement unit, the sorted 0-based text starts it may take: every
+    position for a singleton (empty order), the order-isomorphic factors
+    for a block."""
+    return [_factor_starts(order, tv) if order else range(len(tv)) for order in orders]
+
+
 def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterator[tuple[int, ...]]:
-    """All valid embeddings as 0-based position tuples, lexicographic."""
+    """All valid embeddings as 0-based position tuples, lexicographic.
+
+    Units are placed left to right, each at its candidate starts in
+    increasing order, so embeddings come out lexicographically.  An explicit
+    stack of per-unit scan indices replaces recursion, so pattern length is
+    bounded by memory only.  Three rules, set up once per query, prune the
+    search:
+
+    * value window: a pattern index fits a text value v iff v lies strictly
+      between the text values at its nearest earlier value neighbours
+      (``_value_neighbours``), one test instead of one per earlier index;
+    * block candidates: a block only starts where the text factor is
+      order-isomorphic to it (``_candidate_starts``), so inside a block
+      only neighbours outside it are tested;
+    * latest feasible start: one right-to-left pass bounds each unit's scan
+      by the last start that leaves room for candidates of every later
+      unit, and ends the search at once if some unit has none.
+    """
     pv = pattern.values
     tv = text.values
     k, n = len(pv), len(tv)
     if k > n:
         return
-    units = _units(pattern)
+    units, below, above, windows, orders = _search_plan(pattern)
     nu = len(units)
-    suffix = [0] * (nu + 1)
-    for idx in range(nu - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] + units[idx][1]
-    pos = [0] * k
-
-    def place(u: int, prev_end: int) -> Iterator[tuple[int, ...]]:
-        if u == nu:
-            yield tuple(pos)
+    starts = _candidate_starts(orders, tv)
+    # stop[u]: index in starts[u] of the latest start that still leaves
+    # room for every later unit
+    stop = [0] * nu
+    bound = n
+    for u in range(nu - 1, -1, -1):
+        last = bisect_right(starts[u], bound - units[u][1]) - 1
+        if last < 0:
             return
-        pstart, length = units[u]
-        for s in range(prev_end + 1, n - suffix[u] + 1):
-            ok = True
-            for d in range(length):
-                pi = pstart + d
-                pvi = pv[pi]
-                tvi = tv[s + d]
-                for q in range(pi):
-                    if (pv[q] < pvi) != (tv[pos[q]] < tvi):
-                        ok = False
-                        break
-                if not ok:
-                    break
-                pos[pi] = s + d
-            if ok:
-                yield from place(u + 1, s + length - 1)
+        stop[u] = last
+        bound = starts[u][last]
 
-    yield from place(0, -1)
+    pos = [0] * k
+    # text value at each placed pattern index, then the two "none" sentinels
+    val = [0] * k + [0, n + 1]
+    scan = [0] * nu  # per unit, the index in starts[u] to try next
+    u = 0
+    while u >= 0:
+        p, length = units[u]
+        i, last = scan[u], stop[u]
+        if length == 1:
+            lo_v, hi_v = val[below[p]], val[above[p]]
+            while i <= last and not lo_v < tv[i] < hi_v:
+                i += 1
+            if i > last:
+                u -= 1
+                continue
+            s = i
+            pos[p] = s
+            val[p] = tv[s]
+        else:
+            cand = starts[u]
+            tests = windows[u]
+            while i <= last:
+                s = cand[i]
+                for d, lo, hi in tests:
+                    if not val[lo] < tv[s + d] < val[hi]:
+                        break
+                else:
+                    break
+                i += 1
+            else:
+                u -= 1
+                continue
+            for d in range(length):
+                pos[p + d] = s + d
+                val[p + d] = tv[s + d]
+        scan[u] = i + 1
+        if u == nu - 1:
+            yield tuple(pos)
+        else:
+            u += 1
+            scan[u] = bisect_left(starts[u], s + length)
 
 
 def _run(

@@ -472,4 +472,6 @@ def run_suites(
         )
     if suite in ("fo", "all"):
         results.extend(suite_fo(max_n=max_n, max_k=max_k, samples=samples, seed=seed))
+    if suite in ("lis", "all"):
+        results.extend(suite_lis(samples=samples, seed=seed))
     return results

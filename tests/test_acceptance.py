@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from permpat import matcher
 from permpat.core import Embedding, Graph
 from permpat.matcher import (
     MatchRequest,
@@ -179,6 +180,17 @@ def test_criterion_5_separator_occurs_exactly_once(reduction_sweep):
     elapsed = time.perf_counter() - start
     report(5, bad == 0, f"separator shape found exactly once in every one of "
                         f"{len(seen)} generated texts, {elapsed:.1f} s")
+
+
+def test_separator_block_has_exactly_one_candidate_start(reduction_sweep):
+    """The backtracker's block-candidate rule sees the separator's uniqueness:
+    the stage-3 pattern's one four-position block has a single start."""
+    for g, k, trace in reduction_sweep:
+        units, _, _, _, orders = matcher._search_plan(trace.stage3_pattern)
+        separator = [u for u, (_, length) in enumerate(units) if length == 4]
+        assert len(separator) == 1, serialize_pattern(trace.stage3_pattern)
+        starts = matcher._candidate_starts(orders, trace.stage3_text.values)
+        assert len(starts[separator[0]]) == 1, (g, k)
 
 
 def test_criterion_6_multiset_stage_equivalence(reduction_sweep):

@@ -4,8 +4,10 @@ import sys
 import pytest
 
 from permpat import matcher
-from permpat.cli import main
+from permpat.cli import EXIT_INTERNAL, main
+from permpat.core import Embedding
 from permpat.folog import parse_instance
+from permpat.matcher import is_valid_embedding
 from permpat.textio import parse_pattern, parse_permutation
 
 SIX_VERTEX_GRAPH_TEXT = "p 6 7\nk 3\n1 3\n1 4\n1 5\n2 6\n3 4\n3 6\n5 6\n"
@@ -124,6 +126,47 @@ def test_match_deep_identity_pattern(capsys):
     assert out == "MATCH (" + ",".join(str(v) for v in range(1, 1001)) + ")\n"
 
 
+def test_match_deep_blocked_decreasing_pattern_with_backtrack_engine(capsys):
+    # 1500 decreasing values, every third pair blocked; the text is decreasing
+    # except for three swapped neighbours, so the witness has to skip ahead
+    k, n = 1500, 1510
+    tokens = [str(v) for v in range(k, 0, -1)]
+    for i in range(0, k - 1, 3):
+        tokens[i], tokens[i + 1] = "[" + tokens[i], tokens[i + 1] + "]"
+    values = list(range(n, 0, -1))
+    for i in (10, 700, 1400):
+        values[i], values[i + 1] = values[i + 1], values[i]
+    pattern = parse_pattern(" ".join(tokens))
+    text = parse_permutation(" ".join(map(str, values)))
+    code, out, _ = run(capsys, "match", "-p", " ".join(tokens),
+                       "-t", " ".join(map(str, values)), "--engine", "backtrack")
+    assert code == 0
+    assert out.startswith("MATCH (")
+    witness = Embedding(tuple(int(v) for v in out.strip()[len("MATCH ("):-1].split(",")))
+    assert is_valid_embedding(pattern, text, witness)
+    assert witness.positions[:10] == tuple(range(1, 11))
+
+
+def test_match_fo_engine_deep_pattern(capsys):
+    pattern = " ".join(str(v) for v in range(1000, 0, -1))
+    text = " ".join(str(v) for v in range(1005, 0, -1))
+    code, out, _ = run(capsys, "match", "-p", pattern, "-t", text, "--engine", "fo")
+    assert code == 0
+    assert out == "MATCH (" + ",".join(str(v) for v in range(1, 1001)) + ")\n"
+
+
+def test_internal_error_exits_70_without_traceback(capsys, monkeypatch):
+    def broken(pattern, text):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(matcher, "_iter_backtracking", broken)
+    code, out, err = run(capsys, "match", "-p", "[3 1] 2", "-t", "53142")
+    assert code == EXIT_INTERNAL == 70
+    assert out == ""
+    assert err.startswith("error: internal: ") and "engine fault" in err
+    assert "Traceback" not in err
+
+
 def test_match_all_into_closed_pipe_exits_141():
     text = " ".join(str(v) for v in range(1, 400))
     proc = subprocess.Popen(
@@ -232,6 +275,13 @@ def test_verify_small_bounds(capsys):
     assert code == 0
     assert "IS ⟺ GPPM agreed" in out
     assert all(line.startswith("ok") for line in out.splitlines())
+
+
+def test_verify_lis_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "lis", "--samples", "20")
+    assert code == 0
+    assert out.startswith("ok lis_length >= k and the fast-path witness")
+    assert len(out.splitlines()) == 1
 
 
 def test_verify_contradictory_bounds(capsys):

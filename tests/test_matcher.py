@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from permpat.core import BudgetExceededError, Embedding, GeneralizedPattern, Permutation
+from permpat import matcher
+from permpat.core import BudgetExceededError, Embedding, GeneralizedPattern, Graph, Permutation
 from permpat.matcher import (
     MatchRequest,
     Mode,
@@ -13,6 +15,7 @@ from permpat.matcher import (
     match_bruteforce,
     match_dispatch,
 )
+from permpat.reduction import find_independent_set, matched_vertices, reduce
 from permpat.textio import parse_pattern, parse_permutation
 from permpat.verify import all_patterns, all_texts, random_pattern, random_permutation
 
@@ -207,3 +210,62 @@ def test_dispatch_engine_table():
     assert match_dispatch(big, "auto", budget=0) == Embedding(tuple(range(1, 11)))
     with pytest.raises(ValueError, match="unknown engine"):
         match_dispatch(big, "fo")
+
+
+def test_value_neighbours_are_the_nearest_earlier_values():
+    # pattern 3 1 4 2: index 3 (value 2) sits between index 1 (value 1)
+    # and index 0 (value 3); 4 and 5 stand for "none below" / "none above"
+    below, above = matcher._value_neighbours((3, 1, 4, 2))
+    assert below == [4, 4, 0, 1]
+    assert above == [5, 0, 5, 0]
+
+
+def test_block_candidate_starts_are_the_order_isomorphic_factors():
+    rng = random.Random(21)
+    for _ in range(200):
+        p = random_pattern(rng, rng.randint(2, 6))
+        t = random_permutation(rng, rng.randint(1, 12))
+        units, _, _, _, orders = matcher._search_plan(p)
+        starts = matcher._candidate_starts(orders, t.values)
+        assert len(starts) == len(units)
+        for (first, length), found in zip(units, starts):
+            if length == 1:
+                assert list(found) == list(range(t.n))
+                continue
+            block = tuple(sorted(p.values[first:first + length]).index(v) + 1
+                          for v in p.values[first:first + length])
+            factor = GeneralizedPattern(block, ((1, length),))
+            hits = match_bruteforce(MatchRequest(factor, t, Mode.ENUMERATE_ALL))
+            assert list(found) == [e.positions[0] - 1 for e in hits]
+
+
+def test_unit_without_a_feasible_start_ends_the_search():
+    # [3 2] can only start at position 1 of 2 1 3 4, leaving no room before it
+    p = parse_pattern("1 [3 2]")
+    t = parse_permutation("2 1 3 4")
+    starts = matcher._candidate_starts(matcher._search_plan(p)[4], t.values)
+    assert [list(s) for s in starts] == [[0, 1, 2, 3], [0]]
+    assert list(matcher._iter_backtracking(p, t)) == []
+    assert match_bruteforce(MatchRequest(p, t, Mode.COUNT)) == 0
+
+
+def _graph_with_answer(l, k, has_independent_set, seed):
+    rng = random.Random(seed)
+    while True:
+        edges = frozenset(e for e in combinations(range(1, l + 1), 2) if rng.random() < 0.5)
+        g = Graph(l, edges)
+        if (find_independent_set(g, k) is not None) == has_independent_set:
+            return g
+
+
+@pytest.mark.parametrize("has_independent_set", [False, True])
+def test_reduced_l14_k5_instance_agrees_with_independent_set(has_independent_set):
+    g = _graph_with_answer(14, 5, has_independent_set, seed=1405)
+    trace = reduce(g, 5)
+    witness = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
+    assert (witness is not None) == has_independent_set
+    if witness is not None:
+        assert is_valid_embedding(trace.stage3_pattern, trace.stage3_text, witness)
+        chosen = matched_vertices(trace, witness)
+        assert len(set(chosen)) == 5
+        assert not any(g.has_edge(u, v) for u, v in combinations(chosen, 2))

@@ -67,6 +67,15 @@ def test_run_suites_selects_suites():
     }
     only_fo = run_suites("fo", max_n=3, max_k=2, samples=5, seed=0)
     assert all("fo" in r.name or "formula" in r.name for r in only_fo)
+    only_lis = run_suites("lis", samples=5, seed=0)
+    assert [r.name for r in only_lis] == ["lis fast path"]
+
+
+def test_run_suites_all_includes_the_lis_fast_path():
+    names = [r.name for r in run_suites("all", max_n=3, max_k=2, max_l=3, samples=5, seed=0)]
+    assert names[-1] == "lis fast path"
+    expected = {"engine equivalence", "independent set vs matcher", "fo decider agreement"}
+    assert expected <= set(names)
 
 
 def _last_embedding(req, *args, **kwargs):
