@@ -30,8 +30,8 @@ from .matcher import (
     Mode,
     first_embedding,
     is_valid_embedding,
+    iter_embeddings,
     lis_length,
-    match_backtracking,
     match_bruteforce,
     match_dispatch,
 )
@@ -88,8 +88,8 @@ __all__ = [
     "first_embedding",
     "format_trace",
     "is_valid_embedding",
+    "iter_embeddings",
     "lis_length",
-    "match_backtracking",
     "match_bruteforce",
     "match_dispatch",
     "matched_vertices",

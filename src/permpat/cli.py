@@ -23,10 +23,11 @@ import sys
 
 from .core import DEFAULT_BUDGET, BudgetExceededError, Embedding, ValidationError
 from .folog import encode_formula, encode_structure, export_instance, model_check
-from .matcher import ENGINES, MatchRequest, Mode, match_dispatch
+from .matcher import ENGINES, MatchRequest, Mode, iter_embeddings, match_dispatch
 from .reduction import KRangeError, format_trace, reduce
 from .textio import (
     ParseError,
+    is_ascii_digits,
     parse_graph,
     parse_pattern,
     parse_permutation,
@@ -52,7 +53,7 @@ def _read_arg(arg: str) -> str:
 
 
 def _budget(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
+    if not is_ascii_digits(text):
         raise argparse.ArgumentTypeError(
             f"budget must be a non-negative integer, got {text!r} "
             "(from --budget or PERMPAT_BUDGET)"
@@ -68,7 +69,11 @@ def _cmd_match(args: argparse.Namespace) -> int:
     pattern = parse_pattern(_read_arg(args.pattern))
     text = parse_permutation(_read_arg(args.text))
     mode = Mode.COUNT if args.count else Mode.ENUMERATE_ALL if args.all else Mode.DECIDE
-    if args.engine != "fo":
+    if args.engine != "fo" and mode is Mode.ENUMERATE_ALL:
+        result = None  # print each embedding as the search finds it
+        for result in iter_embeddings(pattern, text, args.engine, args.budget):
+            print(_format_positions(result))
+    elif args.engine != "fo":
         result = match_dispatch(MatchRequest(pattern, text, mode), args.engine, args.budget)
     elif mode is not Mode.DECIDE:
         print("error: the fo engine only decides; drop --count/--all", file=sys.stderr)
@@ -79,10 +84,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
     if mode is Mode.COUNT:
         print(result)
-    elif mode is Mode.ENUMERATE_ALL:
-        for e in result:
-            print(_format_positions(e))
-    else:
+    elif mode is Mode.DECIDE:
         print(f"MATCH {_format_positions(result)}" if result else "NO MATCH")
     return EXIT_OK if result else EXIT_NEGATIVE
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import GeneralizedPattern, Permutation, ValidationError
-from .textio import ParseError
+from .textio import ParseError, is_ascii_digits
 
 __all__ = [
     "FoStructure",
@@ -188,7 +188,7 @@ def parse_instance(text: str) -> tuple[FoStructure, FoFormula]:
     if not lines:
         raise ParseError("empty instance")
     head = lines[0].split()
-    if len(head) != 3 or head[0] != "fo" or not (head[1].isdigit() and head[2].isdigit()):
+    if len(head) != 3 or head[0] != "fo" or not all(map(is_ascii_digits, head[1:])):
         raise ParseError("expected header 'fo <n> <k>'", line=1)
     n, k = int(head[1]), int(head[2])
     tl: set[tuple[int, int]] = set()
@@ -203,7 +203,7 @@ def parse_instance(text: str) -> tuple[FoStructure, FoFormula]:
             raise ParseError(f"unknown line kind {fields[0]!r}", line=lineno)
         target, arity = kinds[fields[0]]
         args = fields[1:]
-        if len(args) != arity or not all(a.isdigit() for a in args):
+        if len(args) != arity or not all(map(is_ascii_digits, args)):
             raise ParseError(f"malformed {fields[0]!r} line", line=lineno)
         target.add(tuple(int(a) for a in args) if arity == 2 else int(args[0]))
     # the value at x is one more than the number of positions below it

@@ -4,28 +4,23 @@ A pattern P of length k matches a text T of length n when some strictly
 increasing tuple of text positions carries values ordered exactly like P,
 and every adjacency block of P lands on consecutive text positions.
 
-Two independent engines answer decide/count/enumerate queries:
+Each query runs one search, which yields its embeddings in lexicographic
+order:
 
-* ``match_bruteforce`` filters every strictly increasing k-tuple of text
-  positions.  It is the oracle and refuses to run past a candidate budget.
-* ``match_backtracking`` collapses each adjacency block into a single
-  placement unit and lays units down left to right from an explicit
-  stack, never by recursion.  It is the workhorse and carries no budget.
-  Three rules, each computed once per query, prune it: a placement is one
-  value-window test against the nearest earlier value neighbours (not
-  one comparison per earlier index); a block only starts at the text
-  factors order-isomorphic to it (order-preserving pattern matching,
-  Kubica et al. 2013, Kim et al. 2014); and each unit's scan stops at its
-  latest feasible start, found in one right-to-left pass over those
-  candidates, so a unit with no room left ends the search at once.
-
-Both engines return identical results in every mode: DECIDE gives the
-lexicographically least embedding or None, COUNT the number of
-embeddings, ENUMERATE_ALL every embedding in lexicographic order.
-``match_dispatch`` is the one place an engine is chosen; its ``auto``
-engine answers DECIDE on classical identity patterns with a
-longest-increasing-subsequence witness and sends everything else to the
-backtracking engine.
+* ``_search`` is the engine table, the one place an engine name is
+  resolved.  ``brute`` filters every strictly increasing k-tuple of text
+  positions; it is the oracle and refuses to run past a candidate budget.
+  ``backtrack`` (and ``auto``) lays adjacency blocks down as whole units,
+  left to right from an explicit stack, pruned by three rules set up once
+  per query (see ``_iter_backtracking``); it is the workhorse and carries
+  no budget.  The two engines share no code.
+* ``iter_embeddings`` yields that stream as ``Embedding`` values, each as
+  soon as the search finds it.
+* ``match_dispatch`` is the one place a ``Mode`` is applied: DECIDE takes
+  the first embedding (the lexicographically least) or None, COUNT counts
+  the stream without building embeddings, ENUMERATE_ALL lists it.  Its
+  ``auto`` engine decides classical identity patterns with a
+  longest-increasing-subsequence witness instead.
 """
 
 from __future__ import annotations
@@ -52,8 +47,8 @@ __all__ = [
     "Mode",
     "MatchRequest",
     "is_valid_embedding",
+    "iter_embeddings",
     "match_bruteforce",
-    "match_backtracking",
     "match_dispatch",
     "first_embedding",
     "lis_length",
@@ -85,13 +80,11 @@ def _adjacent_indices(pattern: GeneralizedPattern) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _order_pairs(pattern: GeneralizedPattern) -> tuple[tuple[int, int, bool], ...]:
-    """All 0-based index pairs (i, j), i < j, with the expected value order."""
-    pv = pattern.values
-    k = len(pv)
-    return tuple(
-        (i, j, pv[i] < pv[j]) for i in range(k) for j in range(i + 1, k)
-    )
+def _value_order(pattern: GeneralizedPattern) -> list[int]:
+    """The pattern's 0-based indices sorted by value: positions carry values
+    ordered like the pattern exactly when the text values along this order
+    rise."""
+    return sorted(range(pattern.k), key=pattern.values.__getitem__)
 
 
 def _units(pattern: GeneralizedPattern) -> tuple[tuple[int, int], ...]:
@@ -111,8 +104,9 @@ def _units(pattern: GeneralizedPattern) -> tuple[tuple[int, int], ...]:
 
 
 def is_valid_embedding(p: GeneralizedPattern, t: Permutation, e: Embedding) -> bool:
-    """True iff e realizes a matching of p into t: order-isomorphism on all
-    position pairs plus text adjacency inside every block."""
+    """True iff e realizes a matching of p into t: order-isomorphism (k - 1
+    comparisons along the pattern's value order) plus text adjacency inside
+    every block."""
     if len(e.positions) != p.k:
         raise ValueError(f"embedding length {len(e.positions)} != pattern length {p.k}")
     if e.positions[-1] > t.n:
@@ -122,27 +116,23 @@ def is_valid_embedding(p: GeneralizedPattern, t: Permutation, e: Embedding) -> b
         if pos[i + 1] - pos[i] != 1:
             return False
     tv = t.values
-    for i, j, less in _order_pairs(p):
-        if (tv[pos[i] - 1] < tv[pos[j] - 1]) != less:
-            return False
-    return True
+    rising = [tv[pos[i] - 1] for i in _value_order(p)]
+    return all(map(lt, rising, rising[1:]))
 
 
 def _iter_bruteforce(pattern: GeneralizedPattern, text: Permutation) -> Iterator[tuple[int, ...]]:
     """All valid embeddings as 0-based position tuples, lexicographic."""
     tv = text.values
-    k, n = pattern.k, text.n
-    if k > n:
-        return
     adj = _adjacent_indices(pattern)
-    pairs = _order_pairs(pattern)
-    for combo in combinations(range(n), k):
+    order = _value_order(pattern)
+    rises = tuple(zip(order, order[1:]))
+    for combo in combinations(range(text.n), pattern.k):
         for i in adj:
             if combo[i + 1] - combo[i] != 1:
                 break
         else:
-            for i, j, less in pairs:
-                if (tv[combo[i]] < tv[combo[j]]) != less:
+            for i, j in rises:
+                if tv[combo[i]] > tv[combo[j]]:
                     break
             else:
                 yield combo
@@ -233,8 +223,9 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
       between the text values at its nearest earlier value neighbours
       (``_value_neighbours``), one test instead of one per earlier index;
     * block candidates: a block only starts where the text factor is
-      order-isomorphic to it (``_candidate_starts``), so inside a block
-      only neighbours outside it are tested;
+      order-isomorphic to it (``_candidate_starts``; order-preserving
+      pattern matching, Kubica et al. 2013, Kim et al. 2014), so inside a
+      block only neighbours outside it are tested;
     * latest feasible start: one right-to-left pass bounds each unit's scan
       by the last start that leaves room for candidates of every later
       unit, and ends the search at once if some unit has none.
@@ -301,36 +292,35 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
             scan[u] = bisect_left(starts[u], s + length)
 
 
-def _run(
-    gen: Iterator[tuple[int, ...]], mode: Mode
-) -> Embedding | int | list[Embedding] | None:
-    if mode is Mode.COUNT:
-        return sum(1 for _ in gen)
-    found = (Embedding(tuple(p + 1 for p in combo)) for combo in gen)
-    if mode is Mode.DECIDE:
-        return next(found, None)
-    return list(found)
+def _search(
+    pattern: GeneralizedPattern, text: Permutation, engine: str, budget: int
+) -> Iterator[tuple[int, ...]]:
+    """The lexicographic stream of 0-based position tuples of one of ENGINES.
+    Raises at the call, before the first item: BudgetExceededError when the
+    brute engine's C(n, k) candidates exceed the budget, ValueError for an
+    engine not in ENGINES."""
+    if engine == "brute":
+        candidates = math.comb(text.n, pattern.k)
+        if candidates > budget:
+            raise BudgetExceededError(
+                f"C({text.n}, {pattern.k}) = {candidates} exceeds budget {budget}"
+            )
+        return _iter_bruteforce(pattern, text)
+    if engine in ("auto", "backtrack"):
+        return _iter_backtracking(pattern, text)
+    raise ValueError(f"unknown engine {engine!r}")
 
 
-def match_bruteforce(
-    req: MatchRequest, budget: int = DEFAULT_BUDGET
-) -> Embedding | int | list[Embedding] | None:
-    """Exhaustive filter over all C(n, k) position tuples.
-
-    Refuses (BudgetExceededError) when the candidate count exceeds the
-    budget; this engine exists as an oracle, not a workhorse.
-    """
-    candidates = math.comb(req.text.n, req.pattern.k)
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"C({req.text.n}, {req.pattern.k}) = {candidates} exceeds budget {budget}"
-        )
-    return _run(_iter_bruteforce(req.pattern, req.text), req.mode)
-
-
-def match_backtracking(req: MatchRequest) -> Embedding | int | list[Embedding] | None:
-    """Placement-unit backtracking; observably identical to match_bruteforce."""
-    return _run(_iter_backtracking(req.pattern, req.text), req.mode)
+def iter_embeddings(
+    pattern: GeneralizedPattern,
+    text: Permutation,
+    engine: str = "auto",
+    budget: int = DEFAULT_BUDGET,
+) -> Iterator[Embedding]:
+    """Every embedding of pattern into text, lexicographically, each yielded
+    as soon as the search finds it.  Raises at the call as ``_search`` does."""
+    stream = _search(pattern, text, engine, budget)
+    return (Embedding(tuple([p + 1 for p in combo])) for combo in stream)
 
 
 def _longest_runs_from(values: tuple[int, ...]) -> list[int]:
@@ -387,13 +377,21 @@ def match_dispatch(
     longest-increasing-subsequence witness and runs everything else
     through the backtracking engine.
     """
-    if engine == "brute":
-        return match_bruteforce(req, budget)
     if engine == "auto" and req.mode is Mode.DECIDE and _is_identity_pattern(req.pattern):
         return _lis_witness(req.text, req.pattern.k)
-    if engine in ("auto", "backtrack"):
-        return match_backtracking(req)
-    raise ValueError(f"unknown engine {engine!r}")
+    if req.mode is Mode.COUNT:
+        return sum(1 for _ in _search(req.pattern, req.text, engine, budget))
+    found = iter_embeddings(req.pattern, req.text, engine, budget)
+    if req.mode is Mode.DECIDE:
+        return next(found, None)
+    return list(found)
+
+
+def match_bruteforce(
+    req: MatchRequest, budget: int = DEFAULT_BUDGET
+) -> Embedding | int | list[Embedding] | None:
+    """``match_dispatch(req, "brute", budget)``."""
+    return match_dispatch(req, "brute", budget)
 
 
 def first_embedding(p: GeneralizedPattern, t: Permutation) -> Embedding | None:

@@ -2,7 +2,7 @@
 
 Permutations are whitespace- or comma-separated positive integers
 ("5 3 1 4 2"); a single unseparated run of digits is read one value per
-digit ("53142").
+digit ("53142").  Every grammar takes ASCII digits only.
 
 Patterns come in two syntaxes.  Bracket syntax, the canonical output form,
 separates integer tokens with whitespace and encloses each adjacency block
@@ -59,24 +59,30 @@ class PatternSyntax(enum.Enum):
     DASH = "dash"
 
 
+def is_ascii_digits(text: str) -> bool:
+    """True iff text is a non-empty run of ASCII digits.  str.isdigit() alone
+    also accepts characters such as '²', on which int() then fails."""
+    return text.isascii() and text.isdigit()
+
+
 def _byte_offset(text: str, char_index: int) -> int:
     return len(text[:char_index].encode("utf-8"))
 
 
 def _int_tokens(text: str) -> list[int]:
     """Whitespace/comma separated integers, or one compact run of digits."""
-    tokens = list(_TOKEN_RE.finditer(text))
-    if not tokens:
+    words = _TOKEN_RE.findall(text)
+    if not words:
         raise ParseError("empty input", offset=0)
-    for match in tokens:
-        if not match.group().isdigit():
-            raise ParseError(
-                f"expected an integer, got {match.group()!r}",
-                offset=_byte_offset(text, match.start()),
-            )
-    if len(tokens) == 1 and len(tokens[0].group()) > 1:
-        return [int(c) for c in tokens[0].group()]
-    return [int(match.group()) for match in tokens]
+    if not all(map(is_ascii_digits, words)):
+        bad = next(m for m in _TOKEN_RE.finditer(text) if not is_ascii_digits(m.group()))
+        raise ParseError(
+            f"expected an integer, got {bad.group()!r}",
+            offset=_byte_offset(text, bad.start()),
+        )
+    if len(words) == 1 and len(words[0]) > 1:
+        return [int(c) for c in words[0]]
+    return list(map(int, words))
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -116,9 +122,9 @@ def _parse_bracket(text: str) -> GeneralizedPattern:
             blocks.append((open_start, len(values)))
             open_start = None
             i += 1
-        elif c.isdigit():
+        elif is_ascii_digits(c):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and is_ascii_digits(text[j]):
                 j += 1
             values.append(int(text[i:j]))
             i = j
@@ -139,7 +145,7 @@ def _parse_dash(text: str) -> GeneralizedPattern:
     for i, c in enumerate(text):
         if c.isspace():
             continue
-        if c.isdigit():
+        if is_ascii_digits(c):
             values.append(int(c))
             group_len += 1
             saw_dash_at = None
@@ -210,7 +216,7 @@ def serialize_permutation(t: Permutation) -> str:
 def _int_fields(fields: list[str], lineno: int, what: str) -> list[int]:
     out = []
     for f in fields:
-        if not f.isdigit():
+        if not is_ascii_digits(f):
             raise ParseError(f"{what}: expected an integer, got {f!r}", line=lineno)
         out.append(int(f))
     return out

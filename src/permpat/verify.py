@@ -12,15 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .core import Embedding, GeneralizedPattern, Graph, Permutation
-from .matcher import (
-    MatchRequest,
-    Mode,
-    is_valid_embedding,
-    lis_length,
-    match_backtracking,
-    match_bruteforce,
-    match_dispatch,
-)
+from .matcher import MatchRequest, Mode, is_valid_embedding, lis_length, match_dispatch
 from .folog import encode_formula, encode_structure, model_check
 from .reduction import (
     deduplicate,
@@ -137,18 +129,14 @@ def suite_engines(
             for p in patterns:
                 for t in texts:
                     pairs += 1
-                    enum_brute = match_bruteforce(MatchRequest(p, t, Mode.ENUMERATE_ALL))
-                    enum_back = match_backtracking(MatchRequest(p, t, Mode.ENUMERATE_ALL))
-                    decide_brute = match_bruteforce(MatchRequest(p, t, Mode.DECIDE))
-                    decide_back = match_backtracking(MatchRequest(p, t, Mode.DECIDE))
-                    count_brute = match_bruteforce(MatchRequest(p, t, Mode.COUNT))
-                    count_back = match_backtracking(MatchRequest(p, t, Mode.COUNT))
-                    counts[(p, t)] = count_back
-                    if not (
-                        enum_brute == enum_back
-                        and decide_brute == decide_back == (enum_brute[0] if enum_brute else None)
-                        and count_brute == count_back == len(enum_brute)
-                    ):
+                    # one search per engine: match_dispatch answers DECIDE
+                    # with the first item of this stream and COUNT with its
+                    # length, so equal enumerations decide and count alike
+                    enum = MatchRequest(p, t, Mode.ENUMERATE_ALL)
+                    enum_brute = match_dispatch(enum, "brute")
+                    enum_back = match_dispatch(enum, "backtrack")
+                    counts[(p, t)] = len(enum_back)
+                    if enum_brute != enum_back:
                         mismatch = mismatch or _pattern_text_label(p, t)
                     for e in enum_back:
                         embeddings_checked += 1
@@ -217,8 +205,8 @@ def suite_engines(
         n = rng.randint(1, 10)
         p = random_pattern(rng, k)
         t = random_permutation(rng, n)
-        lhs = match_backtracking(MatchRequest(p, t, Mode.DECIDE))
-        rhs = match_backtracking(MatchRequest(p.complement(), t.complement(), Mode.DECIDE))
+        lhs = match_dispatch(MatchRequest(p, t), "backtrack")
+        rhs = match_dispatch(MatchRequest(p.complement(), t.complement()), "backtrack")
         if lhs != rhs:
             comp_bad = comp_bad or _pattern_text_label(p, t)
     results.append(
@@ -306,8 +294,8 @@ def suite_reduction(
                 # the text depends only on the graph; probe it once
                 first_k = False
                 separator_checked += 1
-                hits = match_backtracking(
-                    MatchRequest(_SEPARATOR_PROBE, trace.stage3_text, Mode.COUNT)
+                hits = match_dispatch(
+                    MatchRequest(_SEPARATOR_PROBE, trace.stage3_text, Mode.COUNT), "backtrack"
                 )
                 if hits != 1:
                     separator_bad = separator_bad or _graph_label(g, k)
@@ -440,7 +428,7 @@ def suite_lis(samples: int = 500, max_n: int = 12, seed: int = 0) -> list[CheckR
         for k in range(1, n + 1):
             checked += 1
             identity = MatchRequest(GeneralizedPattern(tuple(range(1, k + 1)), ()), t)
-            brute = match_bruteforce(identity)
+            brute = match_dispatch(identity, "brute")
             if (length >= k) != (brute is not None) or match_dispatch(identity) != brute:
                 bad = bad or f"text: {serialize_permutation(t)} (k={k})"
     return [

@@ -15,7 +15,6 @@ from permpat.matcher import (
     Mode,
     is_valid_embedding,
     lis_length,
-    match_backtracking,
     match_dispatch,
 )
 from permpat.reduction import (
@@ -56,8 +55,8 @@ def test_criterion_1_golden_matching_examples():
          Embedding((1, 2, 4))),
         ("1 2 3", lambda: match_dispatch(MatchRequest(parse_pattern("1 2 3"), REFERENCE_TEXT)),
          None),
-        ("[3 1] 2 witness", lambda: match_backtracking(
-            MatchRequest(parse_pattern("[3 1] 2"), REFERENCE_TEXT, Mode.ENUMERATE_ALL)
+        ("[3 1] 2 witness", lambda: match_dispatch(
+            MatchRequest(parse_pattern("[3 1] 2"), REFERENCE_TEXT, Mode.ENUMERATE_ALL), "backtrack"
         )[0].positions, (1, 2, 4)),
         ("[3 1] 2 rejects (1,3,5)", lambda: is_valid_embedding(
             parse_pattern("[3 1] 2"), REFERENCE_TEXT, Embedding((1, 3, 5))
@@ -91,8 +90,8 @@ def test_criterion_2_reference_reduction_exact():
     ok = ok and len(trace.stage3_pattern) == 19 and len(trace.stage3_text) == 40
     decided = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
     ok = ok and decided is not None and matched_vertices(trace, decided) == (2, 3, 5)
-    embeddings = match_backtracking(
-        MatchRequest(trace.stage3_pattern, trace.stage3_text, Mode.ENUMERATE_ALL)
+    embeddings = match_dispatch(
+        MatchRequest(trace.stage3_pattern, trace.stage3_text, Mode.ENUMERATE_ALL), "backtrack"
     )
     witness_sets = {frozenset(matched_vertices(trace, e)) for e in embeddings}
     ok = ok and frozenset({2, 3, 5}) in witness_sets
@@ -173,7 +172,7 @@ def test_criterion_5_separator_occurs_exactly_once(reduction_sweep):
         text = trace.stage3_text
         if text in seen:
             continue
-        hits = match_backtracking(MatchRequest(SEPARATOR_PROBE, text, Mode.COUNT))
+        hits = match_dispatch(MatchRequest(SEPARATOR_PROBE, text, Mode.COUNT), "backtrack")
         seen[text] = hits
         if hits != 1:
             bad += 1

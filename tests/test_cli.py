@@ -71,6 +71,17 @@ def test_match_parse_error_exits_3(capsys):
     assert "duplicate" in err
 
 
+def test_non_ascii_digits_exit_3(capsys, tmp_path):
+    code, out, err = run(capsys, "match", "-p", "1 2", "-t", "2 ² 1")
+    assert (code, out) == (3, "")
+    assert "expected an integer" in err
+    graph = tmp_path / "graph.txt"
+    graph.write_text("p 2 1\n1 ²\n", encoding="utf-8")
+    code, _, err = run(capsys, "reduce", str(graph), "-k", "1", "-o", str(tmp_path / "x"))
+    assert code == 3
+    assert "line 2" in err
+
+
 def test_match_budget_exceeded_exits_4(capsys):
     text = " ".join(str(v) for v in range(1, 41))
     pattern = " ".join(str(v) for v in range(1, 11))
@@ -165,6 +176,27 @@ def test_internal_error_exits_70_without_traceback(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: internal: ") and "engine fault" in err
     assert "Traceback" not in err
+
+
+def test_match_all_prints_each_embedding_as_it_is_found(capsys, monkeypatch):
+    def one_then_fault(pattern, text):
+        yield (0, 1)
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(matcher, "_iter_backtracking", one_then_fault)
+    code, out, err = run(capsys, "match", "-p", "1 2", "-t", "1 2 3", "--all")
+    assert code == EXIT_INTERNAL
+    assert out == "(1,2)\n"
+    assert "engine fault" in err
+
+
+def test_match_all_over_budget_prints_nothing_and_exits_4(capsys):
+    text = " ".join(str(v) for v in range(1, 41))
+    pattern = " ".join(str(v) for v in range(1, 11))
+    code, out, err = run(capsys, "match", "-p", pattern, "-t", text,
+                         "--engine", "brute", "--budget", "1000", "--all")
+    assert (code, out) == (4, "")
+    assert "budget" in err
 
 
 def test_match_all_into_closed_pipe_exits_141():

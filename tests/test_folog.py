@@ -160,6 +160,15 @@ def test_parse_instance_rejects_garbage():
             parse_instance(f"fo 2 2\ntl {pair}\ntl 1 2\ns 1 2\npos 1 2")
 
 
+def test_parse_instance_rejects_non_ascii_digits():
+    with pytest.raises(ParseError, match="malformed 'tl' line") as err:
+        parse_instance("fo 2 2\ntl 1 ²\ns 1 2\npos 1 2")
+    assert err.value.line == 2
+    with pytest.raises(ParseError, match="header") as err:
+        parse_instance("fo ² 2")
+    assert err.value.line == 1
+
+
 def test_k_larger_than_n_is_representable_and_false():
     s = encode_structure(parse_permutation("1"))
     f = encode_formula(parse_pattern("1 2 3"))

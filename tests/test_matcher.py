@@ -10,8 +10,8 @@ from permpat.matcher import (
     Mode,
     first_embedding,
     is_valid_embedding,
+    iter_embeddings,
     lis_length,
-    match_backtracking,
     match_bruteforce,
     match_dispatch,
 )
@@ -28,7 +28,7 @@ def req(pattern, mode=Mode.DECIDE, text=T):
 
 def both(request):
     a = match_bruteforce(request)
-    b = match_backtracking(request)
+    b = match_dispatch(request, "backtrack")
     assert a == b
     return b
 
@@ -75,9 +75,28 @@ def test_is_valid_embedding_precondition_violations():
         is_valid_embedding(p, T, Embedding((1, 2, 6)))
 
 
+def test_is_valid_embedding_equals_the_all_pairs_definition():
+    for k in range(1, 5):
+        for p in all_patterns(k):
+            adjacent = [i for a, b in p.blocks for i in range(a - 1, b - 1)]
+            pairs = list(combinations(range(k), 2))
+            for n in range(k, 6):
+                for t in all_texts(n):
+                    tv = t.values
+                    for positions in combinations(range(1, n + 1), k):
+                        expected = all(
+                            positions[i + 1] - positions[i] == 1 for i in adjacent
+                        ) and all(
+                            (tv[positions[i] - 1] < tv[positions[j] - 1])
+                            == (p.values[i] < p.values[j])
+                            for i, j in pairs
+                        )
+                        assert is_valid_embedding(p, t, Embedding(positions)) == expected
+
+
 def test_every_enumerated_embedding_is_valid():
     for p in all_patterns(3):
-        for e in match_backtracking(req(p, Mode.ENUMERATE_ALL)):
+        for e in match_dispatch(req(p, Mode.ENUMERATE_ALL), "backtrack"):
             assert is_valid_embedding(p, T, e)
 
 
@@ -90,12 +109,14 @@ def test_adjacent_increasing_pair_in_example_text():
 def test_no_match_cases():
     assert both(MatchRequest(parse_pattern("1 2"), parse_permutation("21"))) is None
     long_pattern = GeneralizedPattern(tuple([2, 1, 3, 4, 5, 6]), ())
-    assert match_backtracking(MatchRequest(long_pattern, parse_permutation("53142"))) is None
-    assert match_backtracking(
-        MatchRequest(long_pattern, parse_permutation("53142"), Mode.COUNT)
+    assert match_dispatch(
+        MatchRequest(long_pattern, parse_permutation("53142")), "backtrack"
+    ) is None
+    assert match_dispatch(
+        MatchRequest(long_pattern, parse_permutation("53142"), Mode.COUNT), "backtrack"
     ) == 0
-    assert match_backtracking(
-        MatchRequest(long_pattern, parse_permutation("53142"), Mode.ENUMERATE_ALL)
+    assert match_dispatch(
+        MatchRequest(long_pattern, parse_permutation("53142"), Mode.ENUMERATE_ALL), "backtrack"
     ) == []
 
 
@@ -117,12 +138,12 @@ def test_dispatch_uses_lis_for_identity_and_matches_engines():
         k = rng.randint(1, 6)
         p = random_pattern(rng, k)
         for mode in Mode:
-            assert match_dispatch(MatchRequest(p, t, mode)) == match_backtracking(
-                MatchRequest(p, t, mode)
+            assert match_dispatch(MatchRequest(p, t, mode)) == match_dispatch(
+                MatchRequest(p, t, mode), "backtrack"
             )
         identity = GeneralizedPattern(tuple(range(1, k + 1)), ())
-        assert match_dispatch(MatchRequest(identity, t)) == match_backtracking(
-            MatchRequest(identity, t)
+        assert match_dispatch(MatchRequest(identity, t)) == match_dispatch(
+            MatchRequest(identity, t), "backtrack"
         )
 
 
@@ -132,7 +153,7 @@ def test_budget_guard_refuses_large_bruteforce():
     with pytest.raises(BudgetExceededError):
         match_bruteforce(MatchRequest(p, t), budget=10**6)
     # the workhorse takes the same instance without a budget
-    assert match_backtracking(MatchRequest(p, t)) == Embedding(tuple(range(1, 11)))
+    assert match_dispatch(MatchRequest(p, t), "backtrack") == Embedding(tuple(range(1, 11)))
 
 
 def test_engines_agree_exhaustively_small():
@@ -142,7 +163,7 @@ def test_engines_agree_exhaustively_small():
                 for t in all_texts(n):
                     for mode in Mode:
                         assert match_bruteforce(MatchRequest(p, t, mode)) == \
-                            match_backtracking(MatchRequest(p, t, mode))
+                            match_dispatch(MatchRequest(p, t, mode), "backtrack")
 
 
 def test_enumeration_is_lexicographic():
@@ -150,7 +171,8 @@ def test_enumeration_is_lexicographic():
     for _ in range(50):
         p = random_pattern(rng, rng.randint(1, 4))
         t = random_permutation(rng, rng.randint(1, 8))
-        found = [e.positions for e in match_backtracking(MatchRequest(p, t, Mode.ENUMERATE_ALL))]
+        enum = MatchRequest(p, t, Mode.ENUMERATE_ALL)
+        found = [e.positions for e in match_dispatch(enum, "backtrack")]
         assert found == sorted(found)
 
 
@@ -162,8 +184,8 @@ def test_counts_never_increase_when_blocks_are_added():
         if not p.blocks:
             continue
         stripped = GeneralizedPattern(p.values, ())
-        blocked = match_backtracking(MatchRequest(p, t, Mode.COUNT))
-        classical = match_backtracking(MatchRequest(stripped, t, Mode.COUNT))
+        blocked = match_dispatch(MatchRequest(p, t, Mode.COUNT), "backtrack")
+        classical = match_dispatch(MatchRequest(stripped, t, Mode.COUNT), "backtrack")
         assert blocked <= classical
 
 
@@ -172,8 +194,8 @@ def test_complement_symmetry_random():
     for _ in range(150):
         p = random_pattern(rng, rng.randint(1, 5))
         t = random_permutation(rng, rng.randint(1, 9))
-        assert match_backtracking(MatchRequest(p, t)) == match_backtracking(
-            MatchRequest(p.complement(), t.complement())
+        assert match_dispatch(MatchRequest(p, t), "backtrack") == match_dispatch(
+            MatchRequest(p.complement(), t.complement()), "backtrack"
         )
 
 
@@ -182,7 +204,7 @@ def test_first_embedding_is_least_and_engine_consistent():
     for _ in range(50):
         p = random_pattern(rng, rng.randint(1, 4))
         t = random_permutation(rng, rng.randint(1, 7))
-        found = match_backtracking(MatchRequest(p, t, Mode.ENUMERATE_ALL))
+        found = match_dispatch(MatchRequest(p, t, Mode.ENUMERATE_ALL), "backtrack")
         expected = found[0] if found else None
         assert first_embedding(p, t) == expected
         assert match_dispatch(MatchRequest(p, t), engine="brute") == expected
@@ -202,7 +224,8 @@ def test_dispatch_engine_table():
     p = parse_pattern("[3 1] 2")
     for engine in ("auto", "brute", "backtrack"):
         for mode in Mode:
-            assert match_dispatch(req(p, mode), engine) == match_backtracking(req(p, mode))
+            expected = match_dispatch(req(p, mode), "backtrack")
+            assert match_dispatch(req(p, mode), engine) == expected
     t = Permutation(tuple(range(1, 41)))
     big = MatchRequest(GeneralizedPattern(tuple(range(1, 11)), ()), t)
     with pytest.raises(BudgetExceededError):
@@ -210,6 +233,22 @@ def test_dispatch_engine_table():
     assert match_dispatch(big, "auto", budget=0) == Embedding(tuple(range(1, 11)))
     with pytest.raises(ValueError, match="unknown engine"):
         match_dispatch(big, "fo")
+
+
+def test_iter_embeddings_streams_the_enumeration_and_refuses_at_the_call():
+    p = parse_pattern("[3 1] 2")
+    for engine in ("auto", "brute", "backtrack"):
+        found = iter_embeddings(p, T, engine)
+        assert next(found) == Embedding((1, 2, 4))
+        assert list(found) == [Embedding((2, 3, 5))]
+        assert list(iter_embeddings(p, T, engine)) == match_dispatch(
+            req(p, Mode.ENUMERATE_ALL), engine
+        )
+    big = GeneralizedPattern(tuple(range(1, 11)), ())
+    with pytest.raises(BudgetExceededError):
+        iter_embeddings(big, Permutation(tuple(range(1, 41))), "brute", budget=10**6)
+    with pytest.raises(ValueError, match="unknown engine"):
+        iter_embeddings(p, T, engine="fo")
 
 
 def test_value_neighbours_are_the_nearest_earlier_values():

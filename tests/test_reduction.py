@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from permpat.core import Graph, MultisetHalves, ValidationError
-from permpat.matcher import MatchRequest, Mode, match_backtracking, match_dispatch
+from permpat.matcher import MatchRequest, Mode, match_dispatch
 from permpat.reduction import (
     KRangeError,
     attach_separator,
@@ -161,8 +161,8 @@ def test_simultaneous_multiset_match_examples():
 
 def test_matched_vertices_on_the_worked_example():
     trace = reduce(REFERENCE_GRAPH, 3)
-    embeddings = match_backtracking(
-        MatchRequest(trace.stage3_pattern, trace.stage3_text, Mode.ENUMERATE_ALL)
+    embeddings = match_dispatch(
+        MatchRequest(trace.stage3_pattern, trace.stage3_text, Mode.ENUMERATE_ALL), "backtrack"
     )
     selected = {tuple(sorted(matched_vertices(trace, e))) for e in embeddings}
     independent_sets = {
@@ -216,4 +216,4 @@ def test_separator_probe_matches_reduced_text_exactly_once():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 7))
         trace = reduce(g, 1)
-        assert match_backtracking(MatchRequest(probe, trace.stage3_text, Mode.COUNT)) == 1
+        assert match_dispatch(MatchRequest(probe, trace.stage3_text, Mode.COUNT), "backtrack") == 1

@@ -118,6 +118,35 @@ def test_parse_graph_comments_and_crlf():
     assert g.m == 1 and k is None
 
 
+# '²' passes str.isdigit() but not int(); '٣' (Arabic-Indic three) passes both
+def test_permutation_rejects_non_ascii_digits():
+    for digit in "²٣":
+        with pytest.raises(ParseError, match="expected an integer") as err:
+            parse_permutation(f"2 {digit} 1")
+        assert err.value.offset == 2
+
+
+def test_bracket_pattern_rejects_non_ascii_digits():
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_pattern("[1 ²]")
+    assert err.value.offset == 3
+
+
+def test_dash_pattern_rejects_non_ascii_digits():
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_pattern("1-²")
+    assert err.value.offset == 2
+
+
+def test_graph_rejects_non_ascii_digits():
+    with pytest.raises(ParseError, match="edge: expected an integer") as err:
+        parse_graph("p 2 1\n1 ²")
+    assert err.value.line == 2
+    with pytest.raises(ParseError, match="header: expected an integer") as err:
+        parse_graph("p ² 0")
+    assert err.value.line == 1
+
+
 def test_dash_and_bracket_forms_agree_exhaustively_up_to_k4():
     for p in (p for k in range(1, 5) for p in all_patterns(k)):
         dash = _dash_form(p)

@@ -1,4 +1,5 @@
 from permpat import verify
+from permpat.core import DEFAULT_BUDGET
 from permpat.matcher import MatchRequest, Mode, match_dispatch
 from permpat.verify import (
     all_block_configs,
@@ -78,12 +79,21 @@ def test_run_suites_all_includes_the_lis_fast_path():
     assert expected <= set(names)
 
 
-def _last_embedding(req, *args, **kwargs):
-    """A wrong decider: a valid witness, but the greatest one, not the least."""
-    if req.mode is not Mode.DECIDE:
-        return match_dispatch(req)
+def _last_embedding(req, engine="auto", budget=DEFAULT_BUDGET):
+    """A wrong auto decider: a valid witness, but the greatest one, not the
+    least.  Every other engine and mode answers correctly."""
+    if req.mode is not Mode.DECIDE or engine != "auto":
+        return match_dispatch(req, engine, budget)
     found = match_dispatch(MatchRequest(req.pattern, req.text, Mode.ENUMERATE_ALL))
     return found[-1] if found else None
+
+
+def _brute_out_of_order(req, engine="auto", budget=DEFAULT_BUDGET):
+    """A wrong brute engine: every embedding, but in reverse lexicographic order."""
+    found = match_dispatch(req, engine, budget)
+    if engine == "brute" and req.mode is Mode.ENUMERATE_ALL:
+        return found[::-1]
+    return found
 
 
 def test_suites_reject_a_witness_that_is_not_the_least(monkeypatch):
@@ -92,7 +102,6 @@ def test_suites_reject_a_witness_that_is_not_the_least(monkeypatch):
     assert not lis["lis fast path"].ok
     fo = {r.name: r for r in suite_fo(max_n=4, max_k=3, samples=0, seed=1)}
     assert not fo["fo decider agreement"].ok
-    monkeypatch.setattr(verify, "match_bruteforce", _last_embedding)
-    monkeypatch.setattr(verify, "match_backtracking", _last_embedding)
+    monkeypatch.setattr(verify, "match_dispatch", _brute_out_of_order)
     engines = {r.name: r for r in suite_engines(max_n=4, max_k=3, samples=0, seed=1)}
     assert not engines["engine equivalence"].ok
