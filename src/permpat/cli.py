@@ -210,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as exc:

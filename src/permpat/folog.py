@@ -191,6 +191,8 @@ def parse_instance(text: str) -> tuple[FoStructure, FoFormula]:
     if len(head) != 3 or head[0] != "fo" or not all(map(is_ascii_digits, head[1:])):
         raise ParseError("expected header 'fo <n> <k>'", line=1)
     n, k = int(head[1]), int(head[2])
+    if n < 1 or k < 1:
+        raise ParseError("the header's n and k must be positive", line=1)
     tl: set[tuple[int, int]] = set()
     succ: set[tuple[int, int]] = set()
     pos: set[tuple[int, int]] = set()
@@ -206,11 +208,19 @@ def parse_instance(text: str) -> tuple[FoStructure, FoFormula]:
         if len(args) != arity or not all(map(is_ascii_digits, args)):
             raise ParseError(f"malformed {fields[0]!r} line", line=lineno)
         target.add(tuple(int(a) for a in args) if arity == 2 else int(args[0]))
-    # the value at x is one more than the number of positions below it
-    values = [1] * n
     for a, b in tl:
         if not (1 <= a <= n and 1 <= b <= n):
             raise ParseError(f"text_less pair ({a}, {b}) outside positions 1..{n}")
+    # the header must agree with the body before it sizes anything
+    if len(tl) != n * (n - 1) // 2 or len(succ) != n - 1:
+        raise ParseError(f"a text of length {n} needs {n * (n - 1) // 2} text_less "
+                         f"and {n - 1} succ pairs, got {len(tl)} and {len(succ)}")
+    if len(pos) + len(neg) != k * (k - 1) // 2:
+        raise ParseError(f"a formula over {k} variables needs {k * (k - 1) // 2} order "
+                         f"literals, got {len(pos) + len(neg)}")
+    # the value at x is one more than the number of positions below it
+    values = [1] * n
+    for a, b in tl:
         values[b - 1] += 1
     try:
         structure = FoStructure(tuple(values))

@@ -19,8 +19,8 @@ order:
 * ``match_dispatch`` is the one place a ``Mode`` is applied: DECIDE takes
   the first embedding (the lexicographically least) or None, COUNT counts
   the stream without building embeddings, ENUMERATE_ALL lists it.  Its
-  ``auto`` engine decides classical identity patterns with a
-  longest-increasing-subsequence witness instead.
+  ``auto`` engine decides the classical monotone patterns 1..k and k..1
+  with a longest-increasing-subsequence witness instead.
 """
 
 from __future__ import annotations
@@ -364,21 +364,22 @@ def _lis_witness(t: Permutation, k: int) -> Embedding | None:
     return Embedding(tuple(positions)) if len(positions) == k else None
 
 
-def _is_identity_pattern(p: GeneralizedPattern) -> bool:
-    return p.is_classical and p.values == tuple(range(1, p.k + 1))
-
-
 def match_dispatch(
     req: MatchRequest, engine: str = "auto", budget: int = DEFAULT_BUDGET
 ) -> Embedding | int | list[Embedding] | None:
     """Answer req with one of ENGINES; the budget binds only the brute engine.
 
-    ``auto`` decides classical identity patterns through the
-    longest-increasing-subsequence witness and runs everything else
-    through the backtracking engine.
+    ``auto`` decides the classical identity pattern 1..k through the
+    longest-increasing-subsequence witness, the decreasing pattern k..1
+    through the same witness on the complemented text, and runs
+    everything else through the backtracking engine.
     """
-    if engine == "auto" and req.mode is Mode.DECIDE and _is_identity_pattern(req.pattern):
-        return _lis_witness(req.text, req.pattern.k)
+    p = req.pattern
+    if engine == "auto" and req.mode is Mode.DECIDE and p.is_classical:
+        if p.values == tuple(range(1, p.k + 1)):
+            return _lis_witness(req.text, p.k)
+        if p.values == tuple(range(p.k, 0, -1)):
+            return _lis_witness(req.text.complement(), p.k)
     if req.mode is Mode.COUNT:
         return sum(1 for _ in _search(req.pattern, req.text, engine, budget))
     found = iter_embeddings(req.pattern, req.text, engine, budget)

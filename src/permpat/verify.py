@@ -2,7 +2,9 @@
 the first-order decider on exhaustive small cases and seeded random ones.
 
 Each suite returns a list of CheckResult records; a fixed seed makes every
-run reproducible, including the sampled instances.
+run reproducible, including the sampled instances.  A check counts every
+instance it sees and keeps the first one that refutes it as the
+counterexample.
 """
 
 from __future__ import annotations
@@ -10,10 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import Callable, Iterator
 
 from .core import Embedding, GeneralizedPattern, Graph, Permutation
 from .matcher import MatchRequest, Mode, is_valid_embedding, lis_length, match_dispatch
-from .folog import encode_formula, encode_structure, model_check
+from .folog import FoFormula, encode_formula, encode_structure, model_check
 from .reduction import (
     deduplicate,
     deduplicate_with_reals,
@@ -112,94 +115,74 @@ def _graph_label(g: Graph, k: int) -> str:
     return f"graph:\n{serialize_graph(g, k)}"
 
 
+class _Check:
+    """One property under test: the instances it saw, how many held, and the
+    first one that refuted it, rendered by ``label``."""
+
+    def __init__(self, name: str, label: Callable[..., str]) -> None:
+        self.name = name
+        self.label = label
+        self.instances = 0
+        self.passed = 0
+        self.counterexample: str | None = None
+
+    def see(self, ok: bool, *instance: object) -> None:
+        self.instances += 1
+        if ok:
+            self.passed += 1
+        elif self.counterexample is None:
+            self.counterexample = self.label(*instance)
+
+    def result(self, detail: str) -> CheckResult:
+        return CheckResult(
+            self.name, self.counterexample is None, self.instances, detail, self.counterexample
+        )
+
+
+def _exhaustive(max_k: int, max_n: int) -> Iterator[tuple[GeneralizedPattern, Permutation]]:
+    """Every pattern of length at most max_k against every text of length at
+    most max_n, by pattern length, then text length, pattern, text."""
+    texts = [all_texts(n) for n in range(1, max_n + 1)]
+    for k in range(1, max_k + 1):
+        patterns = all_patterns(k)
+        for same_n in texts:
+            for p in patterns:
+                for t in same_n:
+                    yield p, t
+
+
 def suite_engines(
     max_n: int = 6, max_k: int = 4, samples: int = 200, seed: int = 0
 ) -> list[CheckResult]:
     """Exhaustive engine cross-checks plus seeded random symmetry checks."""
-    results: list[CheckResult] = []
+    equivalence = _Check("engine equivalence", _pattern_text_label)
+    validity = _Check("embedding validity", _pattern_text_label)
     counts: dict[tuple[GeneralizedPattern, Permutation], int] = {}
-    pairs = 0
-    embeddings_checked = 0
-    mismatch: str | None = None
-    invalid: str | None = None
-    for k in range(1, max_k + 1):
-        patterns = all_patterns(k)
-        for n in range(1, max_n + 1):
-            texts = all_texts(n)
-            for p in patterns:
-                for t in texts:
-                    pairs += 1
-                    # one search per engine: match_dispatch answers DECIDE
-                    # with the first item of this stream and COUNT with its
-                    # length, so equal enumerations decide and count alike
-                    enum = MatchRequest(p, t, Mode.ENUMERATE_ALL)
-                    enum_brute = match_dispatch(enum, "brute")
-                    enum_back = match_dispatch(enum, "backtrack")
-                    counts[(p, t)] = len(enum_back)
-                    if enum_brute != enum_back:
-                        mismatch = mismatch or _pattern_text_label(p, t)
-                    for e in enum_back:
-                        embeddings_checked += 1
-                        if not is_valid_embedding(p, t, e):
-                            invalid = invalid or _pattern_text_label(p, t)
-    results.append(
-        CheckResult(
-            "engine equivalence",
-            mismatch is None,
-            pairs,
-            f"backtracking == brute force on {pairs} instances (decide, count, enumerate)",
-            mismatch,
-        )
-    )
-    results.append(
-        CheckResult(
-            "embedding validity",
-            invalid is None,
-            embeddings_checked,
-            f"all {embeddings_checked} enumerated embeddings are valid",
-            invalid,
-        )
-    )
+    for p, t in _exhaustive(max_k, max_n):
+        # one search per engine: match_dispatch answers DECIDE with the
+        # first item of this stream and COUNT with its length, so equal
+        # enumerations decide and count alike
+        enum = MatchRequest(p, t, Mode.ENUMERATE_ALL)
+        enum_brute = match_dispatch(enum, "brute")
+        enum_back = match_dispatch(enum, "backtrack")
+        equivalence.see(enum_brute == enum_back, p, t)
+        counts[(p, t)] = len(enum_back)
+        for e in enum_back:
+            validity.see(is_valid_embedding(p, t, e), p, t)
 
-    mono_bad: str | None = None
-    classical_bad: str | None = None
-    mono_checked = 0
-    classical_checked = 0
+    monotone = _Check("adjacency monotonicity", _pattern_text_label)
+    classical = _Check("classical consistency", _pattern_text_label)
     for (p, t), c in counts.items():
         if not p.blocks:
             continue
-        classical_checked += 1
         stripped = GeneralizedPattern(p.values, ())
-        if c > 0 and counts[(stripped, t)] == 0:
-            classical_bad = classical_bad or _pattern_text_label(p, t)
+        classical.see(c == 0 or counts[(stripped, t)] > 0, p, t)
         for drop in range(len(p.blocks)):
-            mono_checked += 1
-            fewer = GeneralizedPattern(
-                p.values, p.blocks[:drop] + p.blocks[drop + 1:]
-            )
-            if c > counts[(fewer, t)]:
-                mono_bad = mono_bad or _pattern_text_label(p, t)
-    results.append(
-        CheckResult(
-            "adjacency monotonicity",
-            mono_bad is None,
-            mono_checked,
-            f"dropping a block never lowered the count on {mono_checked} instances",
-            mono_bad,
-        )
-    )
-    results.append(
-        CheckResult(
-            "classical consistency",
-            classical_bad is None,
-            classical_checked,
-            f"every blocked match implies a classical match on {classical_checked} instances",
-            classical_bad,
-        )
-    )
+            fewer = GeneralizedPattern(p.values, p.blocks[:drop] + p.blocks[drop + 1:])
+            monotone.see(c <= counts[(fewer, t)], p, t)
 
     rng = random.Random(seed)
-    comp_bad: str | None = None
+    complement = _Check("complement symmetry", _pattern_text_label)
     for _ in range(samples):
         k = rng.randint(1, 6)
         n = rng.randint(1, 10)
@@ -207,18 +190,21 @@ def suite_engines(
         t = random_permutation(rng, n)
         lhs = match_dispatch(MatchRequest(p, t), "backtrack")
         rhs = match_dispatch(MatchRequest(p.complement(), t.complement()), "backtrack")
-        if lhs != rhs:
-            comp_bad = comp_bad or _pattern_text_label(p, t)
-    results.append(
-        CheckResult(
-            "complement symmetry",
-            comp_bad is None,
-            samples,
-            f"matching is invariant under complement on {samples} random instances",
-            comp_bad,
-        )
-    )
-    return results
+        complement.see(lhs == rhs, p, t)
+    return [
+        equivalence.result(
+            f"backtracking == brute force on {equivalence.instances} instances "
+            "(decide, count, enumerate)"
+        ),
+        validity.result(f"all {validity.instances} enumerated embeddings are valid"),
+        monotone.result(
+            f"dropping a block never lowered the count on {monotone.instances} instances"
+        ),
+        classical.result(
+            f"every blocked match implies a classical match on {classical.instances} instances"
+        ),
+        complement.result(f"matching is invariant under complement on {samples} random instances"),
+    ]
 
 
 _ALT_ASSIGN = lambda j, t, m: j + 0.45 + 0.4 * t / (m + 1)
@@ -248,21 +234,14 @@ def suite_reduction(
 ) -> list[CheckResult]:
     """End-to-end checks of the construction against the subset oracle."""
     rng = random.Random(seed)
-    graphs = _graph_family(max_l, samples, rng)
-
-    agree = 0
-    end_to_end_bad: str | None = None
-    multiset_bad: str | None = None
-    stage_bad: str | None = None
-    separator_bad: str | None = None
-    rank_bad: str | None = None
-    size_bad: str | None = None
-    separator_checked = 0
-    instances = 0
-    for g in graphs:
-        first_k = True
+    end_to_end = _Check("independent set vs matcher", _graph_label)
+    multiset_oracle = _Check("multiset stage vs oracle", _graph_label)
+    multiset_final = _Check("multiset stage vs final stage", _graph_label)
+    separator = _Check("separator uniqueness", _graph_label)
+    sizes = _Check("size identities", _graph_label)
+    ranks = _Check("rank stability", _graph_label)
+    for g in _graph_family(max_l, samples, rng):
         for k in range(1, min(max_k, g.l) + 1):
-            instances += 1
             trace = reduce(g, k)
             expected = find_independent_set(g, k) is not None
             final = match_dispatch(
@@ -272,173 +251,114 @@ def suite_reduction(
                 simultaneous_multiset_witness(trace.stage1_pattern, trace.stage1_text)
                 is not None
             )
-            if final == expected:
-                agree += 1
-            else:
-                end_to_end_bad = end_to_end_bad or _graph_label(g, k)
-            if multiset != expected:
-                multiset_bad = multiset_bad or _graph_label(g, k)
-            if multiset != final:
-                stage_bad = stage_bad or _graph_label(g, k)
-            if len(trace.stage3_pattern) != 4 + (3 * k * k + k) // 2 or len(
-                trace.stage3_text
-            ) != 2 * g.l + 3 * len(g.non_edges()) + 4:
-                size_bad = size_bad or _graph_label(g, k)
-            if deduplicate(trace.stage1_pattern) != deduplicate_with_reals(
-                trace.stage1_pattern, _ALT_ASSIGN
-            ) or deduplicate(trace.stage1_text) != deduplicate_with_reals(
-                trace.stage1_text, _ALT_ASSIGN
-            ):
-                rank_bad = rank_bad or _graph_label(g, k)
-            if first_k:
-                # the text depends only on the graph; probe it once
-                first_k = False
-                separator_checked += 1
+            end_to_end.see(final == expected, g, k)
+            multiset_oracle.see(multiset == expected, g, k)
+            multiset_final.see(multiset == final, g, k)
+            sizes.see(
+                len(trace.stage3_pattern) == 4 + (3 * k * k + k) // 2
+                and len(trace.stage3_text) == 2 * g.l + 3 * len(g.non_edges()) + 4,
+                g, k,
+            )
+            ranks.see(
+                deduplicate(trace.stage1_pattern)
+                == deduplicate_with_reals(trace.stage1_pattern, _ALT_ASSIGN)
+                and deduplicate(trace.stage1_text)
+                == deduplicate_with_reals(trace.stage1_text, _ALT_ASSIGN),
+                g, k,
+            )
+            if k == 1:  # the text depends only on the graph; probe it once
                 hits = match_dispatch(
                     MatchRequest(_SEPARATOR_PROBE, trace.stage3_text, Mode.COUNT), "backtrack"
                 )
-                if hits != 1:
-                    separator_bad = separator_bad or _graph_label(g, k)
+                separator.see(hits == 1, g, k)
 
-    results = [
-        CheckResult(
-            "independent set vs matcher",
-            end_to_end_bad is None,
-            instances,
-            f"IS ⟺ GPPM agreed on {agree} instances",
-            end_to_end_bad,
+    instances = end_to_end.instances
+    return [
+        end_to_end.result(f"IS ⟺ GPPM agreed on {end_to_end.passed} instances"),
+        multiset_oracle.result(
+            f"simultaneous halves matching equals the oracle on {instances} instances"
         ),
-        CheckResult(
-            "multiset stage vs oracle",
-            multiset_bad is None,
-            instances,
-            f"simultaneous halves matching equals the oracle on {instances} instances",
-            multiset_bad,
+        multiset_final.result(
+            f"stage-1 matching equals stage-3 matching on {instances} instances"
         ),
-        CheckResult(
-            "multiset stage vs final stage",
-            stage_bad is None,
-            instances,
-            f"stage-1 matching equals stage-3 matching on {instances} instances",
-            stage_bad,
+        separator.result(
+            f"the separator shape occurs exactly once in {separator.instances} generated texts"
         ),
-        CheckResult(
-            "separator uniqueness",
-            separator_bad is None,
-            separator_checked,
-            f"the separator shape occurs exactly once in {separator_checked} generated texts",
-            separator_bad,
-        ),
-        CheckResult(
-            "size identities",
-            size_bad is None,
-            instances,
-            f"pattern and text lengths follow the closed forms on {instances} instances",
-            size_bad,
-        ),
-        CheckResult(
-            "rank stability",
-            rank_bad is None,
-            instances,
-            f"two interval assignment schemes rank identically on {instances} instances",
-            rank_bad,
+        sizes.result(f"pattern and text lengths follow the closed forms on {instances} instances"),
+        ranks.result(
+            f"two interval assignment schemes rank identically on {instances} instances"
         ),
     ]
-    return results
 
 
 def suite_fo(
     max_n: int = 6, max_k: int = 4, samples: int = 500, seed: int = 0
 ) -> list[CheckResult]:
     """First-order decider agreement, witness validity and formula size."""
-    agree_bad: str | None = None
-    witness_bad: str | None = None
-    literal_bad: str | None = None
-    pairs = 0
-    witnesses = 0
-    pattern_count = 0
+    agreement = _Check("fo decider agreement", _pattern_text_label)
+    validity = _Check("fo witness validity", _pattern_text_label)
+    literals = _Check("formula literal counts", serialize_pattern)
 
-    def check_pair(p: GeneralizedPattern, t: Permutation) -> None:
-        nonlocal agree_bad, witness_bad, pairs, witnesses
-        pairs += 1
-        witness = model_check(encode_structure(t), encode_formula(p))
+    def check_pair(p: GeneralizedPattern, t: Permutation, f: FoFormula) -> None:
+        witness = model_check(encode_structure(t), f)
         decided = match_dispatch(MatchRequest(p, t, Mode.DECIDE))
-        if witness != (decided.positions if decided else None):
-            agree_bad = agree_bad or _pattern_text_label(p, t)
-            return
-        if witness is not None:
-            witnesses += 1
-            if not is_valid_embedding(p, t, Embedding(witness)):
-                witness_bad = witness_bad or _pattern_text_label(p, t)
+        agrees = witness == (decided.positions if decided else None)
+        agreement.see(agrees, p, t)
+        if agrees and witness is not None:
+            validity.see(is_valid_embedding(p, t, Embedding(witness)), p, t)
 
+    formulas: dict[GeneralizedPattern, FoFormula] = {}
     for k in range(1, max_k + 1):
-        patterns = all_patterns(k)
-        for p in patterns:
-            pattern_count += 1
-            f = encode_formula(p)
+        for p in all_patterns(k):
+            f = formulas[p] = encode_formula(p)
             total = len(f.pos_literals) + len(f.neg_literals)
-            if total != k * (k - 1) // 2 or total + len(f.adj_literals) > k * k:
-                literal_bad = literal_bad or serialize_pattern(p)
-        for n in range(1, max_n + 1):
-            for p in patterns:
-                for t in all_texts(n):
-                    check_pair(p, t)
+            literals.see(total == k * (k - 1) // 2 and total + len(f.adj_literals) <= k * k, p)
+    for p, t in _exhaustive(max_k, max_n):
+        check_pair(p, t, formulas[p])
 
     rng = random.Random(seed)
     for _ in range(samples):
         k = rng.randint(1, 5)
         n = rng.randint(1, 12)
-        check_pair(random_pattern(rng, k), random_permutation(rng, n))
+        p = random_pattern(rng, k)
+        check_pair(p, random_permutation(rng, n), encode_formula(p))
 
     return [
-        CheckResult(
-            "fo decider agreement",
-            agree_bad is None,
-            pairs,
-            f"model checking finds the matcher's witness on {pairs} instances",
-            agree_bad,
+        agreement.result(
+            f"model checking finds the matcher's witness on {agreement.instances} instances"
         ),
-        CheckResult(
-            "fo witness validity",
-            witness_bad is None,
-            witnesses,
-            f"all {witnesses} model-checking witnesses are valid embeddings",
-            witness_bad,
+        validity.result(
+            f"all {validity.instances} model-checking witnesses are valid embeddings"
         ),
-        CheckResult(
-            "formula literal counts",
-            literal_bad is None,
-            pattern_count,
-            "every formula has k(k-1)/2 order literals and at most k^2 literals total",
-            literal_bad,
+        literals.result(
+            "every formula has k(k-1)/2 order literals and at most k^2 literals total"
         ),
     ]
+
+
+def _lis_label(t: Permutation, k: int) -> str:
+    return f"text: {serialize_permutation(t)} (k={k})"
 
 
 def suite_lis(samples: int = 500, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
     """Fast-path consistency: lis_length and the identity-pattern witness of
     match_dispatch against brute-force identity decisions."""
     rng = random.Random(seed)
-    bad: str | None = None
-    checked = 0
+    fast_path = _Check("lis fast path", _lis_label)
     for _ in range(samples):
         n = rng.randint(1, max_n)
         t = random_permutation(rng, n)
         length = lis_length(t)
         for k in range(1, n + 1):
-            checked += 1
             identity = MatchRequest(GeneralizedPattern(tuple(range(1, k + 1)), ()), t)
             brute = match_dispatch(identity, "brute")
-            if (length >= k) != (brute is not None) or match_dispatch(identity) != brute:
-                bad = bad or f"text: {serialize_permutation(t)} (k={k})"
+            fast_path.see(
+                (length >= k) == (brute is not None) and match_dispatch(identity) == brute, t, k
+            )
     return [
-        CheckResult(
-            "lis fast path",
-            bad is None,
-            checked,
+        fast_path.result(
             f"lis_length >= k and the fast-path witness equal the brute-force identity "
-            f"decision on {checked} queries",
-            bad,
+            f"decision on {fast_path.instances} queries"
         )
     ]
 

@@ -232,6 +232,21 @@ def test_match_file_arguments(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["match", "-p", "@{bad}", "-t", "53142"],
+    ["reduce", "{bad}", "-o", "{out}"],
+    ["encode-fo", "-p", "1 2", "-t", "@{bad}", "-o", "{out}"],
+], ids=["match", "reduce", "encode-fo"])
+def test_non_utf8_input_exits_3(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe 1 2\n")
+    argv = [a.format(bad=bad, out=tmp_path / "out") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "internal" not in err
+    assert "can't decode" in err
+
+
 def test_reduce_writes_instance_files(capsys, tmp_path):
     graph = tmp_path / "graph.txt"
     graph.write_text(SIX_VERTEX_GRAPH_TEXT)

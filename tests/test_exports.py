@@ -1,5 +1,8 @@
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import permpat
 
@@ -19,3 +22,35 @@ def test_every_exported_name_resolves():
     for module in exporting:
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
+
+
+def _imports(path: Path) -> set[str]:
+    """Dotted names a module imports; a relative import within permpat is
+    spelled from the package root."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "permpat." if node.level else ""
+            if node.module:
+                names.add(base + node.module)
+            else:  # from . import x
+                names.update(base + alias.name for alias in node.names)
+    return names
+
+
+def test_import_boundaries():
+    """permpat needs only the standard library, and the two oracles that
+    cross-check the matcher (the model checker and the independent-set
+    reduction) share no code with it."""
+    sources = {path.stem: path for path in Path(permpat.__file__).parent.glob("*.py")}
+    assert LIBRARY_MODULES <= set(sources)
+    for name, path in sources.items():
+        for imported in _imports(path):
+            top = imported.split(".")[0]
+            assert top == "permpat" or top in sys.stdlib_module_names, (name, imported)
+    for oracle in ("folog", "reduction"):
+        assert not any(
+            imported.startswith("permpat.matcher") for imported in _imports(sources[oracle])
+        ), oracle

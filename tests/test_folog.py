@@ -158,6 +158,10 @@ def test_parse_instance_rejects_garbage():
     for pair in ("1 3", "0 1", "3 1"):
         with pytest.raises(ParseError, match="outside"):
             parse_instance(f"fo 2 2\ntl {pair}\ntl 1 2\ns 1 2\npos 1 2")
+    # a header far larger than its body is refused before anything is sized
+    for huge in ("fo 1000000000000 1\n", "fo 1 1000000000000\n"):
+        with pytest.raises(ParseError, match="needs"):
+            parse_instance(huge)
 
 
 def test_parse_instance_rejects_non_ascii_digits():

@@ -214,10 +214,11 @@ def test_dispatch_identity_witness_equals_brute_exhaustively():
     for n in range(1, 7):
         for t in all_texts(n):
             for k in range(1, n + 2):
-                identity = MatchRequest(GeneralizedPattern(tuple(range(1, k + 1)), ()), t)
-                found = match_bruteforce(MatchRequest(identity.pattern, t, Mode.ENUMERATE_ALL))
-                least = found[0] if found else None
-                assert match_dispatch(identity) == match_bruteforce(identity) == least
+                for values in (range(1, k + 1), range(k, 0, -1)):
+                    monotone = MatchRequest(GeneralizedPattern(tuple(values), ()), t)
+                    found = match_bruteforce(MatchRequest(monotone.pattern, t, Mode.ENUMERATE_ALL))
+                    least = found[0] if found else None
+                    assert match_dispatch(monotone) == match_bruteforce(monotone) == least
 
 
 def test_dispatch_engine_table():

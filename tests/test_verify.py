@@ -1,5 +1,11 @@
-from permpat import verify
-from permpat.core import DEFAULT_BUDGET
+import re
+from types import SimpleNamespace
+
+import pytest
+
+from permpat import folog, reduction, verify
+from permpat.cli import main
+from permpat.core import DEFAULT_BUDGET, GeneralizedPattern
 from permpat.matcher import MatchRequest, Mode, match_dispatch
 from permpat.verify import (
     all_block_configs,
@@ -10,6 +16,7 @@ from permpat.verify import (
     suite_lis,
     suite_reduction,
 )
+from permpat.textio import parse_graph, parse_pattern, parse_permutation
 
 
 def test_block_config_counts():
@@ -105,3 +112,128 @@ def test_suites_reject_a_witness_that_is_not_the_least(monkeypatch):
     monkeypatch.setattr(verify, "match_dispatch", _brute_out_of_order)
     engines = {r.name: r for r in suite_engines(max_n=4, max_k=3, samples=0, seed=1)}
     assert not engines["engine equivalence"].ok
+
+
+def _backtrack_fault(change):
+    """A backtracking engine whose enumeration passes through change(req, found)."""
+
+    def dispatch(req, engine="auto", budget=DEFAULT_BUDGET):
+        found = match_dispatch(req, engine, budget)
+        if engine == "backtrack" and req.mode is Mode.ENUMERATE_ALL:
+            return change(req, found)
+        return found
+
+    return dispatch
+
+
+def _doubles_blocked_patterns(req, found):
+    """Blocks ignored, and every classical embedding reported twice."""
+    if not req.pattern.blocks:
+        return found
+    classical = GeneralizedPattern(req.pattern.values, ())
+    return 2 * match_dispatch(MatchRequest(classical, req.text, Mode.ENUMERATE_ALL))
+
+
+def _count_one_too_many(req, engine="auto", budget=DEFAULT_BUDGET):
+    found = match_dispatch(req, engine, budget)
+    return found + 1 if req.mode is Mode.COUNT else found
+
+
+def _reduce_one_too_long(g, k):
+    """A reduction whose final pattern has one position too many."""
+    trace = reduction.reduce(g, k)
+    p = trace.stage3_pattern
+    longer = GeneralizedPattern(p.values + (p.k + 1,), p.blocks)
+    return SimpleNamespace(**{**vars(trace), "stage3_pattern": longer})
+
+
+def _drops_negative_literals(p):
+    f = folog.encode_formula(p)
+    return SimpleNamespace(var_count=f.var_count, pos_literals=f.pos_literals,
+                           neg_literals=frozenset(), adj_literals=f.adj_literals)
+
+
+def _pattern_text(cx):
+    pattern, text = cx.split("\n  text: ")
+    parse_pattern(pattern.removeprefix("pattern: "))
+    parse_permutation(text)
+
+
+def _graph(cx):
+    assert cx.startswith("graph:\n")
+    parse_graph(cx.removeprefix("graph:\n"))
+
+
+def _lis_text(cx):
+    text, k = re.fullmatch(r"text: ([\d ]+) \(k=(\d+)\)", cx).groups()
+    assert 1 <= int(k) <= len(parse_permutation(text))
+
+
+SUITES = {
+    "engines": lambda: suite_engines(max_n=4, max_k=3, samples=30, seed=1),
+    "reduction": lambda: suite_reduction(max_l=4, max_k=3, samples=10, seed=1),
+    "fo": lambda: suite_fo(max_n=4, max_k=3, samples=30, seed=1),
+    "lis": lambda: suite_lis(samples=30, seed=1),
+}
+
+# (fault: the module attribute it replaces and the replacement, suite,
+# the check it must refute, that check's counterexample format)
+FAULTS = [
+    ((verify, "match_dispatch", _brute_out_of_order), "engines",
+     "engine equivalence", _pattern_text),
+    ((verify, "is_valid_embedding", lambda p, t, e: False), "engines",
+     "embedding validity", _pattern_text),
+    ((verify, "match_dispatch", _backtrack_fault(_doubles_blocked_patterns)), "engines",
+     "adjacency monotonicity", _pattern_text),
+    ((verify, "match_dispatch",
+      _backtrack_fault(lambda req, found: found if req.pattern.blocks else [])), "engines",
+     "classical consistency", _pattern_text),
+    ((GeneralizedPattern, "complement", lambda self: self), "engines",
+     "complement symmetry", _pattern_text),
+    ((verify, "find_independent_set", lambda g, k: None), "reduction",
+     "independent set vs matcher", _graph),
+    ((verify, "find_independent_set", lambda g, k: None), "reduction",
+     "multiset stage vs oracle", _graph),
+    ((verify, "simultaneous_multiset_witness", lambda p, t: None), "reduction",
+     "multiset stage vs final stage", _graph),
+    ((verify, "match_dispatch", _count_one_too_many), "reduction",
+     "separator uniqueness", _graph),
+    ((verify, "reduce", _reduce_one_too_long), "reduction",
+     "size identities", _graph),
+    ((verify, "_ALT_ASSIGN", lambda j, t, m: j + 0.45 - 0.4 * t / (m + 1)), "reduction",
+     "rank stability", _graph),
+    ((verify, "match_dispatch", _last_embedding), "fo",
+     "fo decider agreement", _pattern_text),
+    ((verify, "is_valid_embedding", lambda p, t, e: False), "fo",
+     "fo witness validity", _pattern_text),
+    ((verify, "encode_formula", _drops_negative_literals), "fo",
+     "formula literal counts", parse_pattern),
+    ((verify, "lis_length", lambda t: 0), "lis",
+     "lis fast path", _lis_text),
+]
+
+
+def test_the_faults_cover_every_check():
+    names = {r.name for suite in SUITES.values() for r in suite()}
+    assert sorted(name for _, _, name, _ in FAULTS) == sorted(names)
+
+
+@pytest.mark.parametrize("fault, suite, name, label", FAULTS,
+                         ids=[name for _, _, name, _ in FAULTS])
+def test_an_injected_fault_refutes_the_check(monkeypatch, fault, suite, name, label):
+    monkeypatch.setattr(*fault)
+    result = {r.name: r for r in SUITES[suite]()}[name]
+    assert not result.ok
+    assert result.instances > 0
+    label(result.counterexample)
+
+
+def test_verify_prints_a_refuted_check_and_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "lis_length", lambda t: 0)
+    code = main(["verify", "--suite", "lis", "--samples", "5"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 2
+    assert lines[0].startswith("FAIL lis fast path: lis_length >= k and the fast-path ")
+    assert lines[1].startswith("  counterexample text: ")
+    _lis_text(lines[1].removeprefix("  counterexample "))
