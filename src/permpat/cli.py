@@ -207,10 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     except KRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, UnicodeDecodeError) as exc:
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as exc:

@@ -10,6 +10,7 @@ be shared freely between threads and used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -135,16 +136,18 @@ class GeneralizedPattern:
     def is_classical(self) -> bool:
         return not self.blocks
 
-    @classmethod
-    def from_permutation(cls, perm: Permutation) -> GeneralizedPattern:
-        """Wrap a permutation as a classical (block-free) pattern."""
-        return cls(perm.values, ())
-
-    def to_permutation(self) -> Permutation:
-        """The underlying permutation; only defined for classical patterns."""
-        if self.blocks:
-            raise ValidationError("pattern has adjacency blocks, not purely classical")
-        return Permutation(self.values)
+    @cached_property
+    def units(self) -> tuple[tuple[int, int], ...]:
+        """The pattern cut left to right into (0-based start, length) units:
+        each block stays whole, every other position is a unit of its own."""
+        units: list[tuple[int, int]] = []
+        free = 0  # the first position not yet in a unit
+        for a, b in self.blocks:
+            units.extend((i, 1) for i in range(free, a - 1))
+            units.append((a - 1, b - a + 1))
+            free = b
+        units.extend((i, 1) for i in range(free, len(self.values)))
+        return tuple(units)
 
     def complement(self) -> GeneralizedPattern:
         """Replace every value v by k + 1 - v, keeping the blocks."""

@@ -72,14 +72,6 @@ class MatchRequest:
     mode: Mode = Mode.DECIDE
 
 
-def _adjacent_indices(pattern: GeneralizedPattern) -> tuple[int, ...]:
-    """0-based indices i such that pattern positions i+1 and i+2 share a block."""
-    out: list[int] = []
-    for a, b in pattern.blocks:
-        out.extend(range(a - 1, b - 1))
-    return tuple(out)
-
-
 def _value_order(pattern: GeneralizedPattern) -> list[int]:
     """The pattern's 0-based indices sorted by value: positions carry values
     ordered like the pattern exactly when the text values along this order
@@ -87,33 +79,18 @@ def _value_order(pattern: GeneralizedPattern) -> list[int]:
     return sorted(range(pattern.k), key=pattern.values.__getitem__)
 
 
-def _units(pattern: GeneralizedPattern) -> tuple[tuple[int, int], ...]:
-    """Placement units as (0-based start, length): blocks stay whole, free
-    positions are singletons."""
-    units: list[tuple[int, int]] = []
-    i = 1
-    starts = {a: b for a, b in pattern.blocks}
-    while i <= pattern.k:
-        if i in starts:
-            units.append((i - 1, starts[i] - i + 1))
-            i = starts[i] + 1
-        else:
-            units.append((i - 1, 1))
-            i += 1
-    return tuple(units)
-
-
 def is_valid_embedding(p: GeneralizedPattern, t: Permutation, e: Embedding) -> bool:
     """True iff e realizes a matching of p into t: order-isomorphism (k - 1
     comparisons along the pattern's value order) plus text adjacency inside
-    every block."""
+    every block.  Positions strictly increase, so block [a, b] sits on
+    consecutive positions exactly when it spans b - a of them."""
     if len(e.positions) != p.k:
         raise ValueError(f"embedding length {len(e.positions)} != pattern length {p.k}")
     if e.positions[-1] > t.n:
         raise ValueError(f"embedding position {e.positions[-1]} exceeds text length {t.n}")
     pos = e.positions
-    for i in _adjacent_indices(p):
-        if pos[i + 1] - pos[i] != 1:
+    for a, b in p.blocks:
+        if pos[b - 1] - pos[a - 1] != b - a:
             return False
     tv = t.values
     rising = [tv[pos[i] - 1] for i in _value_order(p)]
@@ -123,12 +100,12 @@ def is_valid_embedding(p: GeneralizedPattern, t: Permutation, e: Embedding) -> b
 def _iter_bruteforce(pattern: GeneralizedPattern, text: Permutation) -> Iterator[tuple[int, ...]]:
     """All valid embeddings as 0-based position tuples, lexicographic."""
     tv = text.values
-    adj = _adjacent_indices(pattern)
+    spans = tuple((a - 1, b - 1, b - a) for a, b in pattern.blocks)
     order = _value_order(pattern)
     rises = tuple(zip(order, order[1:]))
     for combo in combinations(range(text.n), pattern.k):
-        for i in adj:
-            if combo[i + 1] - combo[i] != 1:
+        for a, b, span in spans:  # as in is_valid_embedding
+            if combo[b] - combo[a] != span:
                 break
         else:
             for i, j in rises:
@@ -174,7 +151,7 @@ def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
     """The text-independent part of a backtracking search, kept for reuse
     across texts, as (units, below, above, windows, orders):
 
-    * units: the placement units, see ``_units``;
+    * units: the placement units, ``GeneralizedPattern.units``;
     * below, above: the nearest earlier value neighbours, see
       ``_value_neighbours``;
     * windows: per unit, its window tests as (offset, below, above).  A
@@ -184,7 +161,7 @@ def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
     """
     pv = pattern.values
     k = len(pv)
-    units = _units(pattern)
+    units = pattern.units
     below, above = _value_neighbours(pv)
     windows = []
     orders = []

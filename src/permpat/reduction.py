@@ -101,13 +101,9 @@ class ReductionTrace:
             raise ValidationError(
                 f"text length {len(self.stage3_text)} exceeds bound {bound_t}"
             )
-        sep_start = 2 * k + 1
-        expected_blocks = [(sep_start, sep_start + 3)]
-        pos = sep_start + 4
-        for _ in range(k * (k - 1) // 2):
-            expected_blocks.append((pos, pos + 2))
-            pos += 3
-        if self.stage3_pattern.blocks != tuple(expected_blocks):
+        # the units tile the pattern, so their lengths fix every block
+        layout = [length for _, length in self.stage3_pattern.units]
+        if layout != [1] * (2 * k) + [4] + [3] * (k * (k - 1) // 2):
             raise ValidationError("pattern blocks do not follow separator + triples layout")
 
     @property

@@ -195,17 +195,10 @@ def parse_pattern(text: str, syntax: PatternSyntax | None = None) -> Generalized
 
 def serialize_pattern(p: GeneralizedPattern) -> str:
     """Canonical bracket form; parse_pattern inverts this exactly."""
-    starts = {a: b for a, b in p.blocks}
     out: list[str] = []
-    i = 1
-    while i <= p.k:
-        if i in starts:
-            b = starts[i]
-            out.append("[" + " ".join(str(v) for v in p.values[i - 1:b]) + "]")
-            i = b + 1
-        else:
-            out.append(str(p.values[i - 1]))
-            i += 1
+    for start, length in p.units:
+        values = " ".join(str(v) for v in p.values[start:start + length])
+        out.append(f"[{values}]" if length > 1 else values)
     return " ".join(out)
 
 

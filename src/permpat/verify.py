@@ -9,18 +9,29 @@ counterexample.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from typing import Callable, Iterator
 
-from .core import Embedding, GeneralizedPattern, Graph, Permutation
+from .core import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    Embedding,
+    GeneralizedPattern,
+    Graph,
+    Permutation,
+)
 from .matcher import MatchRequest, Mode, is_valid_embedding, lis_length, match_dispatch
 from .folog import FoFormula, encode_formula, encode_structure, model_check
 from .reduction import (
+    ReductionTrace,
     deduplicate,
     deduplicate_with_reals,
     find_independent_set,
+    matched_vertices,
     reduce,
     simultaneous_multiset_witness,
 )
@@ -141,14 +152,23 @@ class _Check:
 
 def _exhaustive(max_k: int, max_n: int) -> Iterator[tuple[GeneralizedPattern, Permutation]]:
     """Every pattern of length at most max_k against every text of length at
-    most max_n, by pattern length, then text length, pattern, text."""
+    most max_n, by pattern length, then text length, pattern, text.  Raises
+    BudgetExceededError at the call, before building any, when the pairs
+    (k!·2^(k-1) patterns and n! texts of each length) exceed DEFAULT_BUDGET."""
+    patterns = sum(math.factorial(k) << (k - 1) for k in range(1, max_k + 1))
+    pairs = patterns * sum(map(math.factorial, range(1, max_n + 1)))
+    if pairs > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"{pairs} exhaustive (pattern, text) pairs exceed budget {DEFAULT_BUDGET}"
+        )
     texts = [all_texts(n) for n in range(1, max_n + 1)]
-    for k in range(1, max_k + 1):
-        patterns = all_patterns(k)
-        for same_n in texts:
-            for p in patterns:
-                for t in same_n:
-                    yield p, t
+    return (
+        (p, t)
+        for same_k in map(all_patterns, range(1, max_k + 1))
+        for same_n in texts
+        for p in same_k
+        for t in same_n
+    )
 
 
 def suite_engines(
@@ -229,6 +249,16 @@ def _graph_family(max_l: int, samples: int, rng: random.Random) -> list[Graph]:
     return graphs
 
 
+def _selects_independent_set(g: Graph, trace: ReductionTrace, e: Embedding) -> bool:
+    """True iff a final-stage witness decodes to trace.k vertices of g with no
+    edge among them; a witness that does not decode selects nothing."""
+    try:
+        chosen = set(matched_vertices(trace, e))
+    except ValueError:
+        return False
+    return len(chosen) == trace.k and not any(g.has_edge(*uv) for uv in combinations(chosen, 2))
+
+
 def suite_reduction(
     max_l: int = 6, max_k: int = 3, samples: int = 200, seed: int = 0
 ) -> list[CheckResult]:
@@ -244,14 +274,14 @@ def suite_reduction(
         for k in range(1, min(max_k, g.l) + 1):
             trace = reduce(g, k)
             expected = find_independent_set(g, k) is not None
-            final = match_dispatch(
-                MatchRequest(trace.stage3_pattern, trace.stage3_text, Mode.DECIDE)
-            ) is not None
+            witness = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
+            final = witness is not None
             multiset = (
                 simultaneous_multiset_witness(trace.stage1_pattern, trace.stage1_text)
                 is not None
             )
-            end_to_end.see(final == expected, g, k)
+            sound = witness is None or _selects_independent_set(g, trace, witness)
+            end_to_end.see(final == expected and sound, g, k)
             multiset_oracle.see(multiset == expected, g, k)
             multiset_final.see(multiset == final, g, k)
             sizes.see(
@@ -299,21 +329,24 @@ def suite_fo(
     validity = _Check("fo witness validity", _pattern_text_label)
     literals = _Check("formula literal counts", serialize_pattern)
 
+    structure_of = cache(encode_structure)  # each text is encoded once
+
     def check_pair(p: GeneralizedPattern, t: Permutation, f: FoFormula) -> None:
-        witness = model_check(encode_structure(t), f)
+        witness = model_check(structure_of(t), f)
         decided = match_dispatch(MatchRequest(p, t, Mode.DECIDE))
         agrees = witness == (decided.positions if decided else None)
         agreement.see(agrees, p, t)
         if agrees and witness is not None:
             validity.see(is_valid_embedding(p, t, Embedding(witness)), p, t)
 
+    pairs = _exhaustive(max_k, max_n)  # refuses over-budget bounds before any formula
     formulas: dict[GeneralizedPattern, FoFormula] = {}
     for k in range(1, max_k + 1):
         for p in all_patterns(k):
             f = formulas[p] = encode_formula(p)
             total = len(f.pos_literals) + len(f.neg_literals)
             literals.see(total == k * (k - 1) // 2 and total + len(f.adj_literals) <= k * k, p)
-    for p, t in _exhaustive(max_k, max_n):
+    for p, t in pairs:
         check_pair(p, t, formulas[p])
 
     rng = random.Random(seed)

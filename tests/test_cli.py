@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from permpat import matcher
+from permpat import matcher, verify
 from permpat.cli import EXIT_INTERNAL, main
 from permpat.core import Embedding
 from permpat.folog import parse_instance
@@ -335,6 +335,23 @@ def test_verify_contradictory_bounds(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "0")
     assert code == 2
     assert "contradictory" in err
+
+
+@pytest.mark.parametrize("suite, bound, value, pairs", [
+    ("engines", "--max-k", "9", 98_405_981 * 873),  # k <= 9 against the default n <= 6
+    ("fo", "--max-n", "11", 221 * 43_954_713),  # the default k <= 4 against n <= 11
+], ids=["engines", "fo"])
+def test_verify_refuses_exhaustive_bounds_over_the_budget(capsys, monkeypatch,
+                                                          suite, bound, value, pairs):
+    def not_before_the_budget_check(length):
+        raise AssertionError(f"built the length-{length} cases before the budget check")
+
+    monkeypatch.setattr(verify, "all_patterns", not_before_the_budget_check)
+    monkeypatch.setattr(verify, "all_texts", not_before_the_budget_check)
+    code, out, err = run(capsys, "verify", "--suite", suite, bound, value)
+    assert code == 4
+    assert out == ""
+    assert f"{pairs} exhaustive (pattern, text) pairs exceed budget" in err
 
 
 def test_verify_deterministic_output(capsys):

@@ -11,6 +11,7 @@ from permpat.core import (
     Permutation,
     ValidationError,
 )
+from permpat.verify import all_patterns
 
 
 def test_validate_permutation_accepts_valid():
@@ -70,11 +71,19 @@ def test_whole_pattern_may_be_one_block():
 
 def test_classical_pattern_roundtrips_through_permutation():
     perm = Permutation((3, 1, 2))
-    p = GeneralizedPattern.from_permutation(perm)
+    p = GeneralizedPattern(perm.values)
     assert p.is_classical
-    assert p.to_permutation() == perm
-    with pytest.raises(ValidationError):
-        GeneralizedPattern((3, 1, 2), ((1, 2),)).to_permutation()
+    assert Permutation(p.values) == perm
+
+
+def test_units_tile_the_pattern_and_keep_each_block_whole():
+    for k in range(1, 6):
+        for p in all_patterns(k):
+            covered = [i for start, length in p.units for i in range(start, start + length)]
+            assert covered == list(range(k)), p
+            blocks = [(start + 1, start + length) for start, length in p.units if length > 1]
+            assert tuple(blocks) == p.blocks, p
+            assert p.units is p.units  # computed once per pattern
 
 
 def test_embedding_must_strictly_increase():

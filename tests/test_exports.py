@@ -40,10 +40,31 @@ def _imports(path: Path) -> set[str]:
     return names
 
 
+# matcher.py's two engines: the brute oracle with the embedding check, and
+# the backtracker with its set-up; neither side may call into the other
+BRUTE_SIDE = {"is_valid_embedding", "_iter_bruteforce", "_value_order"}
+BACKTRACK_SIDE = {
+    "_iter_backtracking", "_search_plan", "_value_neighbours", "_candidate_starts",
+    "_factor_starts",
+}
+
+
+def _referenced_names(function: ast.FunctionDef) -> set[str]:
+    """Every plain name and attribute name a function mentions."""
+    names = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
 def test_import_boundaries():
-    """permpat needs only the standard library, and the two oracles that
+    """permpat needs only the standard library, the two oracles that
     cross-check the matcher (the model checker and the independent-set
-    reduction) share no code with it."""
+    reduction) share no code with it, and inside the matcher the brute
+    engine and the backtracker share none either."""
     sources = {path.stem: path for path in Path(permpat.__file__).parent.glob("*.py")}
     assert LIBRARY_MODULES <= set(sources)
     for name, path in sources.items():
@@ -54,3 +75,13 @@ def test_import_boundaries():
         assert not any(
             imported.startswith("permpat.matcher") for imported in _imports(sources[oracle])
         ), oracle
+    # the brute engine shares matcher.py with the backtracker, so check names
+    functions = {
+        node.name: _referenced_names(node)
+        for node in ast.parse(sources["matcher"].read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for side, foreign in ((BRUTE_SIDE, BACKTRACK_SIDE | {"units"}),
+                          (BACKTRACK_SIDE, BRUTE_SIDE)):
+        for name in side:
+            assert not functions[name] & foreign, (name, functions[name] & foreign)

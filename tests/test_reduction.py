@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from itertools import combinations
 
 import pytest
 
-from permpat.core import Graph, MultisetHalves, ValidationError
+from permpat.core import GeneralizedPattern, Graph, MultisetHalves, ValidationError
 from permpat.matcher import MatchRequest, Mode, match_dispatch
 from permpat.reduction import (
     KRangeError,
@@ -177,6 +178,19 @@ def test_matched_vertices_on_the_worked_example():
 def test_trace_blocks_layout():
     trace = reduce(REFERENCE_GRAPH, 3)
     assert trace.stage3_pattern.blocks == ((7, 10), (11, 13), (14, 16), (17, 19))
+
+
+@pytest.mark.parametrize("blocks", [
+    (),  # classical
+    ((7, 8), (9, 10), (11, 13), (14, 16), (17, 19)),  # separator cut in two
+    ((7, 10), (11, 13), (14, 16)),  # one triple left free
+    ((7, 10), (11, 12), (14, 16), (17, 19)),  # one triple cut short
+], ids=["classical", "split-separator", "free-triple", "short-triple"])
+def test_trace_rejects_blocks_off_the_separator_and_triples_layout(blocks):
+    trace = reduce(REFERENCE_GRAPH, 3)
+    moved = GeneralizedPattern(trace.stage3_pattern.values, blocks)
+    with pytest.raises(ValidationError, match="separator"):
+        dataclasses.replace(trace, stage3_pattern=moved)
 
 
 def test_format_trace_sections_and_roundtrip_of_stage3():

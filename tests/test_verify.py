@@ -5,7 +5,7 @@ import pytest
 
 from permpat import folog, reduction, verify
 from permpat.cli import main
-from permpat.core import DEFAULT_BUDGET, GeneralizedPattern
+from permpat.core import DEFAULT_BUDGET, Embedding, GeneralizedPattern
 from permpat.matcher import MatchRequest, Mode, match_dispatch
 from permpat.verify import (
     all_block_configs,
@@ -112,6 +112,37 @@ def test_suites_reject_a_witness_that_is_not_the_least(monkeypatch):
     monkeypatch.setattr(verify, "match_dispatch", _brute_out_of_order)
     engines = {r.name: r for r in suite_engines(max_n=4, max_k=3, samples=0, seed=1)}
     assert not engines["engine equivalence"].ok
+
+
+def _decide_fault(witness):
+    """A decider that, on every YES instance of a reduced pattern with k = 2
+    (11 positions), answers witness(|P|) instead of the true witness."""
+
+    def dispatch(req, engine="auto", budget=DEFAULT_BUDGET):
+        found = match_dispatch(req, engine, budget)
+        if req.mode is Mode.DECIDE and found is not None and req.pattern.k == 11:
+            return witness(req.pattern.k)
+        return found
+
+    return dispatch
+
+
+def test_a_reduction_witness_must_decode_to_an_independent_set(monkeypatch):
+    # positions 1..|P| put the two dot pairs on text dot pairs 1 and 2, so
+    # they select vertices 1 and 2 whether or not the graph joins them
+    monkeypatch.setattr(verify, "match_dispatch",
+                        _decide_fault(lambda size: Embedding(tuple(range(1, size + 1)))))
+    result = {r.name: r for r in SUITES["reduction"]()}["independent set vs matcher"]
+    assert not result.ok
+    graph, k = parse_graph(result.counterexample.removeprefix("graph:\n"))
+    assert k == 2 and graph.has_edge(1, 2)
+    # positions 2..|P|+1 put the first dot pair on an odd text position,
+    # which decodes to no vertex: a refutation, not a crash
+    monkeypatch.setattr(verify, "match_dispatch",
+                        _decide_fault(lambda size: Embedding(tuple(range(2, size + 2)))))
+    result = {r.name: r for r in SUITES["reduction"]()}["independent set vs matcher"]
+    assert not result.ok
+    _graph(result.counterexample)
 
 
 def _backtrack_fault(change):
