@@ -146,7 +146,9 @@ def _factor_starts(order: tuple[int, ...], tv: tuple[int, ...]) -> list[int]:
     return list(compress(range(m), map(all, zip(*rises))))
 
 
-@lru_cache(maxsize=64)
+# room for every pattern of one length up to 4 (192), which the exhaustive
+# verify walk cycles through for each text
+@lru_cache(maxsize=256)
 def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
     """The text-independent part of a backtracking search, kept for reuse
     across texts, as (units, below, above, windows, orders):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations, permutations
 from typing import Callable, Iterator
 
@@ -25,10 +24,9 @@ from .core import (
     Permutation,
 )
 from .matcher import MatchRequest, Mode, is_valid_embedding, lis_length, match_dispatch
-from .folog import FoFormula, encode_formula, encode_structure, model_check
+from .folog import FoFormula, FoStructure, encode_formula, encode_structure, model_check
 from .reduction import (
     ReductionTrace,
-    deduplicate,
     deduplicate_with_reals,
     find_independent_set,
     matched_vertices,
@@ -88,8 +86,9 @@ def all_patterns(k: int) -> list[GeneralizedPattern]:
     ]
 
 
-def all_texts(n: int) -> list[Permutation]:
-    return [Permutation(p) for p in permutations(range(1, n + 1))]
+def all_texts(n: int) -> Iterator[Permutation]:
+    """Every text of length n, each built when the caller reaches it."""
+    return map(Permutation, permutations(range(1, n + 1)))
 
 
 def random_permutation(rng: random.Random, n: int) -> Permutation:
@@ -150,56 +149,56 @@ class _Check:
         )
 
 
-def _exhaustive(max_k: int, max_n: int) -> Iterator[tuple[GeneralizedPattern, Permutation]]:
-    """Every pattern of length at most max_k against every text of length at
-    most max_n, by pattern length, then text length, pattern, text.  Raises
-    BudgetExceededError at the call, before building any, when the pairs
-    (k!·2^(k-1) patterns and n! texts of each length) exceed DEFAULT_BUDGET."""
+def _exhaustive(
+    max_k: int, max_n: int
+) -> Iterator[tuple[list[GeneralizedPattern], Iterator[Permutation]]]:
+    """For each pattern length k ≤ max_k, all_patterns(k) and a lazy walk over
+    the texts of length ≤ max_n: pairs go by pattern length, then text length,
+    text, pattern.  Raises BudgetExceededError at the call, before building any,
+    when the pairs (Σ k!·2^(k-1) patterns × Σ n! texts) exceed DEFAULT_BUDGET."""
     patterns = sum(math.factorial(k) << (k - 1) for k in range(1, max_k + 1))
     pairs = patterns * sum(map(math.factorial, range(1, max_n + 1)))
     if pairs > DEFAULT_BUDGET:
         raise BudgetExceededError(
             f"{pairs} exhaustive (pattern, text) pairs exceed budget {DEFAULT_BUDGET}"
         )
-    texts = [all_texts(n) for n in range(1, max_n + 1)]
     return (
-        (p, t)
-        for same_k in map(all_patterns, range(1, max_k + 1))
-        for same_n in texts
-        for p in same_k
-        for t in same_n
+        (all_patterns(k), (t for n in range(1, max_n + 1) for t in all_texts(n)))
+        for k in range(1, max_k + 1)
     )
 
 
 def suite_engines(
     max_n: int = 6, max_k: int = 4, samples: int = 200, seed: int = 0
 ) -> list[CheckResult]:
-    """Exhaustive engine cross-checks plus seeded random symmetry checks."""
+    """Exhaustive engine cross-checks (pattern length, then text length, text,
+    pattern) plus seeded random symmetry checks."""
     equivalence = _Check("engine equivalence", _pattern_text_label)
     validity = _Check("embedding validity", _pattern_text_label)
-    counts: dict[tuple[GeneralizedPattern, Permutation], int] = {}
-    for p, t in _exhaustive(max_k, max_n):
-        # one search per engine: match_dispatch answers DECIDE with the
-        # first item of this stream and COUNT with its length, so equal
-        # enumerations decide and count alike
-        enum = MatchRequest(p, t, Mode.ENUMERATE_ALL)
-        enum_brute = match_dispatch(enum, "brute")
-        enum_back = match_dispatch(enum, "backtrack")
-        equivalence.see(enum_brute == enum_back, p, t)
-        counts[(p, t)] = len(enum_back)
-        for e in enum_back:
-            validity.see(is_valid_embedding(p, t, e), p, t)
-
     monotone = _Check("adjacency monotonicity", _pattern_text_label)
     classical = _Check("classical consistency", _pattern_text_label)
-    for (p, t), c in counts.items():
-        if not p.blocks:
-            continue
-        stripped = GeneralizedPattern(p.values, ())
-        classical.see(c == 0 or counts[(stripped, t)] > 0, p, t)
-        for drop in range(len(p.blocks)):
-            fewer = GeneralizedPattern(p.values, p.blocks[:drop] + p.blocks[drop + 1:])
-            monotone.see(c <= counts[(fewer, t)], p, t)
+    for patterns, texts in _exhaustive(max_k, max_n):
+        for t in texts:
+            counts = {}  # this text's counts, by pattern (values, blocks)
+            for p in patterns:
+                # one search per engine: match_dispatch answers DECIDE with the
+                # first item of this stream and COUNT with its length, so equal
+                # enumerations decide and count alike
+                enum = MatchRequest(p, t, Mode.ENUMERATE_ALL)
+                enum_brute = match_dispatch(enum, "brute")
+                enum_back = match_dispatch(enum, "backtrack")
+                equivalence.see(enum_brute == enum_back, p, t)
+                counts[p.values, p.blocks] = len(enum_back)
+                for e in enum_back:
+                    validity.see(is_valid_embedding(p, t, e), p, t)
+            for p in patterns:
+                if not p.blocks:
+                    continue
+                c = counts[p.values, p.blocks]
+                classical.see(c == 0 or counts[p.values, ()] > 0, p, t)
+                for drop in range(len(p.blocks)):
+                    fewer = p.blocks[:drop] + p.blocks[drop + 1:]
+                    monotone.see(c <= counts[p.values, fewer], p, t)
 
     rng = random.Random(seed)
     complement = _Check("complement symmetry", _pattern_text_label)
@@ -290,10 +289,8 @@ def suite_reduction(
                 g, k,
             )
             ranks.see(
-                deduplicate(trace.stage1_pattern)
-                == deduplicate_with_reals(trace.stage1_pattern, _ALT_ASSIGN)
-                and deduplicate(trace.stage1_text)
-                == deduplicate_with_reals(trace.stage1_text, _ALT_ASSIGN),
+                trace.stage2_pattern == deduplicate_with_reals(trace.stage1_pattern, _ALT_ASSIGN)
+                and trace.stage2_text == deduplicate_with_reals(trace.stage1_text, _ALT_ASSIGN),
                 g, k,
             )
             if k == 1:  # the text depends only on the graph; probe it once
@@ -324,37 +321,37 @@ def suite_reduction(
 def suite_fo(
     max_n: int = 6, max_k: int = 4, samples: int = 500, seed: int = 0
 ) -> list[CheckResult]:
-    """First-order decider agreement, witness validity and formula size."""
+    """First-order decider agreement, witness validity and formula size, on
+    exhaustive pairs (pattern length, then text length, text, pattern)."""
     agreement = _Check("fo decider agreement", _pattern_text_label)
     validity = _Check("fo witness validity", _pattern_text_label)
     literals = _Check("formula literal counts", serialize_pattern)
 
-    structure_of = cache(encode_structure)  # each text is encoded once
-
-    def check_pair(p: GeneralizedPattern, t: Permutation, f: FoFormula) -> None:
-        witness = model_check(structure_of(t), f)
+    def check_pair(p: GeneralizedPattern, f: FoFormula, t: Permutation, s: FoStructure) -> None:
+        witness = model_check(s, f)
         decided = match_dispatch(MatchRequest(p, t, Mode.DECIDE))
         agrees = witness == (decided.positions if decided else None)
         agreement.see(agrees, p, t)
         if agrees and witness is not None:
             validity.see(is_valid_embedding(p, t, Embedding(witness)), p, t)
 
-    pairs = _exhaustive(max_k, max_n)  # refuses over-budget bounds before any formula
-    formulas: dict[GeneralizedPattern, FoFormula] = {}
-    for k in range(1, max_k + 1):
-        for p in all_patterns(k):
-            f = formulas[p] = encode_formula(p)
+    for k, (patterns, texts) in enumerate(_exhaustive(max_k, max_n), start=1):
+        formulas = list(map(encode_formula, patterns))
+        for p, f in zip(patterns, formulas):
             total = len(f.pos_literals) + len(f.neg_literals)
             literals.see(total == k * (k - 1) // 2 and total + len(f.adj_literals) <= k * k, p)
-    for p, t in pairs:
-        check_pair(p, t, formulas[p])
+        for t in texts:
+            s = encode_structure(t)
+            for p, f in zip(patterns, formulas):
+                check_pair(p, f, t, s)
 
     rng = random.Random(seed)
     for _ in range(samples):
         k = rng.randint(1, 5)
         n = rng.randint(1, 12)
         p = random_pattern(rng, k)
-        check_pair(p, random_permutation(rng, n), encode_formula(p))
+        t = random_permutation(rng, n)
+        check_pair(p, encode_formula(p), t, encode_structure(t))
 
     return [
         agreement.result(

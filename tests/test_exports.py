@@ -24,6 +24,13 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
 
 
+def test_package_all_joins_the_module_lists():
+    modules = (permpat.core, permpat.folog, permpat.matcher, permpat.reduction, permpat.textio)
+    joined = [name for module in modules for name in module.__all__]
+    assert permpat.__all__ == joined
+    assert len(set(joined)) == len(joined)
+
+
 def _imports(path: Path) -> set[str]:
     """Dotted names a module imports; a relative import within permpat is
     spelled from the package root."""

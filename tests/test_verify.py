@@ -5,7 +5,7 @@ import pytest
 
 from permpat import folog, reduction, verify
 from permpat.cli import main
-from permpat.core import DEFAULT_BUDGET, Embedding, GeneralizedPattern
+from permpat.core import DEFAULT_BUDGET, Embedding, GeneralizedPattern, Permutation
 from permpat.matcher import MatchRequest, Mode, match_dispatch
 from permpat.verify import (
     all_block_configs,
@@ -257,6 +257,35 @@ def test_an_injected_fault_refutes_the_check(monkeypatch, fault, suite, name, la
     assert not result.ok
     assert result.instances > 0
     label(result.counterexample)
+
+
+def _wrong_stage2_text(g, k):
+    """A reduction whose trace stores the stage-2 pattern as its stage-2 text."""
+    trace = reduction.reduce(g, k)
+    return SimpleNamespace(**{**vars(trace), "stage2_text": trace.stage2_pattern})
+
+
+def test_rank_stability_checks_the_stage_2_that_reduce_built(monkeypatch):
+    monkeypatch.setattr(verify, "reduce", _wrong_stage2_text)
+    result = {r.name: r for r in SUITES["reduction"]()}["rank stability"]
+    assert not result.ok
+    _graph(result.counterexample)
+
+
+def test_the_exhaustive_walk_builds_each_text_when_it_reaches_it(monkeypatch):
+    built = []
+
+    def counting(values):
+        built.append(values)
+        return Permutation(values)
+
+    monkeypatch.setattr(verify, "Permutation", counting)
+    walk = verify._exhaustive(2, 7)  # 5,913 texts of length at most 7
+    assert built == []
+    patterns, texts = next(walk)
+    first_pair = patterns[0], next(texts)
+    assert built == [(1,)]
+    assert first_pair == (GeneralizedPattern((1,)), Permutation((1,)))
 
 
 def test_verify_prints_a_refuted_check_and_exits_1(monkeypatch, capsys):
