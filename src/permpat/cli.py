@@ -13,6 +13,9 @@ standard output closed by its reader before everything was written.
 Pattern and text arguments are taken inline; an argument starting with
 '@' names a file to read instead.  The brute-force budget may also be set
 through the PERMPAT_BUDGET environment variable.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused by every later call; PERMPAT_BUDGET is read again on each call.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .core import DEFAULT_BUDGET, BudgetExceededError, Embedding, ValidationError
 from .folog import encode_formula, encode_structure, export_instance, model_check
@@ -52,7 +56,16 @@ def _read_arg(arg: str) -> str:
     return arg
 
 
+class _FromEnv(str):
+    """The --budget default.  argparse runs a str default through the
+    option's type, so ``_budget`` meets it on each match call given no
+    --budget, reads PERMPAT_BUDGET then, and a malformed value is reported
+    by the match subparser, as a malformed --budget is."""
+
+
 def _budget(text: str) -> int:
+    if isinstance(text, _FromEnv):
+        text = os.environ.get("PERMPAT_BUDGET") or str(DEFAULT_BUDGET)
     if not is_ascii_digits(text):
         raise argparse.ArgumentTypeError(
             f"budget must be a non-negative integer, got {text!r} "
@@ -62,7 +75,7 @@ def _budget(text: str) -> int:
 
 
 def _format_positions(e: Embedding) -> str:
-    return "(" + ",".join(str(p) for p in e.positions) + ")"
+    return "(" + ",".join(map(str, e.positions)) + ")"
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
@@ -144,6 +157,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_NEGATIVE if failed else EXIT_OK
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permpat",
@@ -160,8 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true",
                        help="print every embedding, lexicographically")
     p_match.add_argument("--engine", choices=[*ENGINES, "fo"], default="auto")
-    p_match.add_argument("--budget", type=_budget,
-                         default=os.environ.get("PERMPAT_BUDGET") or DEFAULT_BUDGET,
+    p_match.add_argument("--budget", type=_budget, default=_FromEnv(),
                          help="candidate budget for the brute engine "
                               "(default: $PERMPAT_BUDGET, else 10^8)")
     p_match.set_defaults(func=_cmd_match)

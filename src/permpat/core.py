@@ -176,6 +176,14 @@ class Embedding:
                     f"embedding positions must strictly increase, got {prev} then {cur}"
                 )
 
+    @classmethod
+    def _trusted(cls, positions: tuple[int, ...]) -> Embedding:
+        """An embedding built without the checks, for engine output only:
+        the engines yield strictly increasing int tuples by construction."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "positions", positions)
+        return e
+
     def __len__(self) -> int:
         return len(self.positions)
 

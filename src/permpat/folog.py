@@ -45,12 +45,6 @@ class FoStructure:
     def n(self) -> int:
         return len(self.values)
 
-    def text_less(self, x: int, y: int) -> bool:
-        return self.values[x - 1] < self.values[y - 1]
-
-    def succ(self, x: int, y: int) -> bool:
-        return x + 1 == y
-
     def text_less_pairs(self) -> tuple[tuple[int, int], ...]:
         """The materialized relation, sorted; always n(n-1)/2 pairs."""
         n = self.n

@@ -299,7 +299,8 @@ def iter_embeddings(
     """Every embedding of pattern into text, lexicographically, each yielded
     as soon as the search finds it.  Raises at the call as ``_search`` does."""
     stream = _search(pattern, text, engine, budget)
-    return (Embedding(tuple([p + 1 for p in combo])) for combo in stream)
+    trusted = Embedding._trusted
+    return (trusted(tuple([p + 1 for p in combo])) for combo in stream)
 
 
 def _longest_runs_from(values: tuple[int, ...]) -> list[int]:
@@ -340,7 +341,7 @@ def _lis_witness(t: Permutation, k: int) -> Embedding | None:
         if v > last and runs[i] >= k - len(positions):
             positions.append(i + 1)
             last = v
-    return Embedding(tuple(positions)) if len(positions) == k else None
+    return Embedding._trusted(tuple(positions)) if len(positions) == k else None
 
 
 def match_dispatch(

@@ -1,13 +1,14 @@
+import functools
 import subprocess
 import sys
 
 import pytest
 
-from permpat import matcher, verify
+from permpat import cli, core, matcher, verify
 from permpat.cli import EXIT_INTERNAL, main
 from permpat.core import Embedding
 from permpat.folog import parse_instance
-from permpat.matcher import is_valid_embedding
+from permpat.matcher import is_valid_embedding, iter_embeddings
 from permpat.textio import parse_pattern, parse_permutation
 
 SIX_VERTEX_GRAPH_TEXT = "p 6 7\nk 3\n1 3\n1 4\n1 5\n2 6\n3 4\n3 6\n5 6\n"
@@ -107,12 +108,95 @@ def test_match_budget_rejects_negative_flag(capsys):
     assert "'-5'" in capsys.readouterr().err
 
 
-def test_match_budget_rejects_malformed_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("PERMPAT_BUDGET", "1e3")
+def _malformed_env_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["match", "-p", "1 2", "-t", "1 2 3", "--engine", "brute"])
-    assert exc.value.code == 2
-    assert "'1e3'" in capsys.readouterr().err
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_match_budget_rejects_malformed_env_var(capsys, monkeypatch):
+    main(["match", "-p", "1 2", "-t", "1 2 3"])  # the parser is built by now
+    monkeypatch.setenv("PERMPAT_BUDGET", "1e3")
+    code, err = _malformed_env_usage_error(capsys)
+    assert code == 2
+    assert "'1e3'" in err
+    assert err.startswith("usage: permpat match ")  # reported by the match subparser
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):  # argparse names its own class, so wrap, not subclass
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser.__wrapped__))
+    assert run(capsys, "match", "-p", "[3 1] 2", "-t", "53142")[:2] == (0, "MATCH (1,2,4)\n")
+    assert len(built) == 5  # permpat and its four subcommands
+    assert run(capsys, "match", "-p", "[3 1] 2", "-t", "53142")[:2] == (0, "MATCH (1,2,4)\n")
+    assert run(capsys, "verify", "--suite", "lis", "--samples", "2")[0] == 0
+    assert len(built) == 5
+
+
+def test_an_explicit_budget_wins_over_a_malformed_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("PERMPAT_BUDGET", "1e3")
+    code, out, err = run(capsys, "match", "-p", "1 2", "-t", "1 2 3",
+                         "--engine", "brute", "--budget", "100")
+    assert (code, out, err) == (0, "MATCH (1,2)\n", "")
+
+
+def test_the_budget_env_var_binds_only_match(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("PERMPAT_BUDGET", "1e3")
+    graph = tmp_path / "graph.txt"
+    graph.write_text(SIX_VERTEX_GRAPH_TEXT)
+    code, out, err = run(capsys, "reduce", str(graph), "-o", str(tmp_path / "out"))
+    assert (code, out, err) == (0, "|P| = 19\n|T| = 40\n", "")
+    code, _, err = run(capsys, "encode-fo", "-p", "1 2", "-t", "12", "-o", str(tmp_path / "x"))
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "verify", "--suite", "lis", "--samples", "20")
+    assert (code, err) == (0, "")
+    assert out.startswith("ok lis_length")
+
+
+def test_a_fresh_process_reports_usage_errors_like_a_reused_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    proc = subprocess.run([sys.executable, "-m", "permpat", "match", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: permpat match ")
+    main(["match", "-p", "1 2", "-t", "1 2 3"])
+    monkeypatch.setenv("PERMPAT_BUDGET", "1e3")
+    expected = _malformed_env_usage_error(capsys)
+    proc = subprocess.run(
+        [sys.executable, "-m", "permpat", "match", "-p", "1 2", "-t", "1 2 3",
+         "--engine", "brute"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == expected
+    assert proc.stdout == ""
+
+
+def test_engine_output_is_not_revalidated(capsys, monkeypatch):
+    p, t = parse_pattern("[3 1] 2"), parse_permutation("53142")
+    checked = []
+    as_int_tuple = core._as_int_tuple
+
+    def counted(values, what):
+        checked.append(what)
+        return as_int_tuple(values, what)
+
+    monkeypatch.setattr(core, "_as_int_tuple", counted)
+    found = list(iter_embeddings(p, t))
+    assert checked == []
+    assert found == [Embedding((1, 2, 4)), Embedding((2, 3, 5))]
+    assert hash(found[0]) == hash(Embedding((1, 2, 4)))
+    checked.clear()
+    assert run(capsys, "match", "-p", "[3 1] 2", "-t", "53142", "--all")[:2] == (
+        0, "(1,2,4)\n(2,3,5)\n")
+    assert run(capsys, "match", "-p", "1 2 3", "-t", "1 3 2 4")[:2] == (0, "MATCH (1,2,4)\n")
+    assert checked == ["pattern", "permutation"] * 2  # parsing the arguments only
 
 
 def test_match_auto_searches_once(capsys, monkeypatch):
