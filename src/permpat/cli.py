@@ -38,7 +38,6 @@ from .textio import (
     serialize_pattern,
     serialize_permutation,
 )
-from .verify import run_suites
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -74,18 +73,16 @@ def _budget(text: str) -> int:
     return int(text)
 
 
-def _format_positions(e: Embedding) -> str:
-    return "(" + ",".join(map(str, e.positions)) + ")"
-
-
 def _cmd_match(args: argparse.Namespace) -> int:
     pattern = parse_pattern(_read_arg(args.pattern))
     text = parse_permutation(_read_arg(args.text))
     mode = Mode.COUNT if args.count else Mode.ENUMERATE_ALL if args.all else Mode.DECIDE
+    # every embedding has k positions: one format string serves the query
+    line = "(" + ",".join(["%d"] * pattern.k) + ")"
     if args.engine != "fo" and mode is Mode.ENUMERATE_ALL:
         result = None  # print each embedding as the search finds it
         for result in iter_embeddings(pattern, text, args.engine, args.budget):
-            print(_format_positions(result))
+            print(line % result.positions)
     elif args.engine != "fo":
         result = match_dispatch(MatchRequest(pattern, text, mode), args.engine, args.budget)
     elif mode is not Mode.DECIDE:
@@ -98,7 +95,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
     if mode is Mode.COUNT:
         print(result)
     elif mode is Mode.DECIDE:
-        print(f"MATCH {_format_positions(result)}" if result else "NO MATCH")
+        print("MATCH " + line % result.positions if result else "NO MATCH")
     return EXIT_OK if result else EXIT_NEGATIVE
 
 
@@ -137,6 +134,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("error: contradictory bounds (all maxima must be >= 1, samples >= 0)",
               file=sys.stderr)
         return EXIT_USAGE
+    from .verify import run_suites  # here, so that no other command pays its import
+
     results = run_suites(
         suite=args.suite,
         max_n=args.max_n,

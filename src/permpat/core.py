@@ -38,18 +38,20 @@ DEFAULT_BUDGET = 10**8
 
 
 def _as_int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValidationError(f"{what} must contain integers, got {v!r}")
-        out.append(v)
-    return tuple(out)
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:  # a bool, an int subclass or a non-int
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValidationError(f"{what} must contain integers, got {v!r}")
+    return values
 
 
 def _check_bijection(values: Sequence[int], what: str) -> None:
     n = len(values)
     if n == 0:
         raise ValidationError(f"{what} must contain at least one value")
+    if min(values) >= 1 and max(values) <= n and len(set(values)) == n:
+        return  # otherwise the loop below names the first offence by position
     seen = [False] * (n + 1)
     for pos, v in enumerate(values, start=1):
         if not 1 <= v <= n:

@@ -13,9 +13,10 @@ order:
   ``backtrack`` (and ``auto``) lays adjacency blocks down as whole units,
   left to right from an explicit stack, pruned by three rules set up once
   per query (see ``_iter_backtracking``); it is the workhorse and carries
-  no budget.  The two engines share no code.
+  no budget.  The two engines share no code; each yields 1-based position
+  tuples, ready for output.
 * ``iter_embeddings`` yields that stream as ``Embedding`` values, each as
-  soon as the search finds it.
+  soon as the search finds it, without re-basing or re-checking them.
 * ``match_dispatch`` is the one place a ``Mode`` is applied: DECIDE takes
   the first embedding (the lexicographically least) or None, COUNT counts
   the stream without building embeddings, ENUMERATE_ALL lists it.  Its
@@ -98,12 +99,12 @@ def is_valid_embedding(p: GeneralizedPattern, t: Permutation, e: Embedding) -> b
 
 
 def _iter_bruteforce(pattern: GeneralizedPattern, text: Permutation) -> Iterator[tuple[int, ...]]:
-    """All valid embeddings as 0-based position tuples, lexicographic."""
-    tv = text.values
+    """All valid embeddings as 1-based position tuples, lexicographic."""
+    tv = (0,) + text.values  # indexed by 1-based position
     spans = tuple((a - 1, b - 1, b - a) for a, b in pattern.blocks)
     order = _value_order(pattern)
     rises = tuple(zip(order, order[1:]))
-    for combo in combinations(range(text.n), pattern.k):
+    for combo in combinations(range(1, text.n + 1), pattern.k):
         for a, b, span in spans:  # as in is_valid_embedding
             if combo[b] - combo[a] != span:
                 break
@@ -190,7 +191,7 @@ def _candidate_starts(
 
 
 def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterator[tuple[int, ...]]:
-    """All valid embeddings as 0-based position tuples, lexicographic.
+    """All valid embeddings as 1-based position tuples, lexicographic.
 
     Units are placed left to right, each at its candidate starts in
     increasing order, so embeddings come out lexicographically.  An explicit
@@ -228,7 +229,7 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
         stop[u] = last
         bound = starts[u][last]
 
-    pos = [0] * k
+    pos = [0] * k  # 1-based text position per pattern index; output only
     # text value at each placed pattern index, then the two "none" sentinels
     val = [0] * k + [0, n + 1]
     scan = [0] * nu  # per unit, the index in starts[u] to try next
@@ -244,7 +245,7 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
                 u -= 1
                 continue
             s = i
-            pos[p] = s
+            pos[p] = s + 1
             val[p] = tv[s]
         else:
             cand = starts[u]
@@ -261,7 +262,7 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
                 u -= 1
                 continue
             for d in range(length):
-                pos[p + d] = s + d
+                pos[p + d] = s + d + 1
                 val[p + d] = tv[s + d]
         scan[u] = i + 1
         if u == nu - 1:
@@ -274,7 +275,7 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
 def _search(
     pattern: GeneralizedPattern, text: Permutation, engine: str, budget: int
 ) -> Iterator[tuple[int, ...]]:
-    """The lexicographic stream of 0-based position tuples of one of ENGINES.
+    """The lexicographic stream of 1-based position tuples of one of ENGINES.
     Raises at the call, before the first item: BudgetExceededError when the
     brute engine's C(n, k) candidates exceed the budget, ValueError for an
     engine not in ENGINES."""
@@ -298,9 +299,7 @@ def iter_embeddings(
 ) -> Iterator[Embedding]:
     """Every embedding of pattern into text, lexicographically, each yielded
     as soon as the search finds it.  Raises at the call as ``_search`` does."""
-    stream = _search(pattern, text, engine, budget)
-    trusted = Embedding._trusted
-    return (trusted(tuple([p + 1 for p in combo])) for combo in stream)
+    return map(Embedding._trusted, _search(pattern, text, engine, budget))
 
 
 def _longest_runs_from(values: tuple[int, ...]) -> list[int]:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import subprocess
 import sys
 
@@ -45,6 +46,34 @@ def test_match_all(capsys):
     code, out, _ = run(capsys, "match", "-p", "[3 1] 2", "-t", "53142", "--all")
     assert code == 0
     assert out == "(1,2,4)\n(2,3,5)\n"
+
+
+def test_match_prints_one_position_embeddings_without_a_trailing_comma(capsys):
+    assert run(capsys, "match", "-p", "1", "-t", "2 1", "--all") == (0, "(1)\n(2)\n", "")
+    for engine in ["auto", "brute", "backtrack", "fo"]:
+        assert run(capsys, "match", "-p", "1", "-t", "2 1", "--engine", engine) == (
+            0, "MATCH (1)\n", "")
+
+
+def test_match_all_prints_the_same_embeddings_under_both_engines(capsys):
+    pattern, text = "[3 1] 4 [2 5]", "6 2 9 4 1 8 3 11 10 7 5 12"
+    p, t = parse_pattern(pattern), parse_permutation(text)
+    expected = "".join(
+        "(" + ",".join(map(str, combo)) + ")\n"
+        for combo in itertools.combinations(range(1, t.n + 1), p.k)
+        if is_valid_embedding(p, t, Embedding(combo))
+    )
+    assert expected.count("\n") >= 3
+    for engine in ["brute", "backtrack"]:
+        assert run(capsys, "match", "-p", pattern, "-t", text, "--all",
+                   "--engine", engine) == (0, expected, "")
+
+
+def test_match_does_not_import_the_verify_suites():
+    code = ("import sys; from permpat.cli import main; main(['match', '-p', '1', '-t', '1']); "
+            "print('permpat.verify' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "MATCH (1)\nFalse\n", "")
 
 
 def test_match_engines_agree(capsys):
@@ -264,7 +293,7 @@ def test_internal_error_exits_70_without_traceback(capsys, monkeypatch):
 
 def test_match_all_prints_each_embedding_as_it_is_found(capsys, monkeypatch):
     def one_then_fault(pattern, text):
-        yield (0, 1)
+        yield (1, 2)  # engines yield 1-based positions
         raise RuntimeError("engine fault")
 
     monkeypatch.setattr(matcher, "_iter_backtracking", one_then_fault)

@@ -1,3 +1,4 @@
+import enum
 import random
 
 import pytest
@@ -106,6 +107,57 @@ def test_multiset_halves_validation():
         MultisetHalves((0,), ())
     with pytest.raises(ValidationError):
         MultisetHalves((1,), ((),))
+
+
+class _Rank(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+def _message(build, values):
+    with pytest.raises(ValidationError) as err:
+        build(values)
+    return str(err.value)
+
+
+CONSTRUCTORS = {
+    "permutation": Permutation,
+    "pattern": GeneralizedPattern,
+    "embedding": Embedding,
+    "bar block": lambda values: MultisetHalves((1,), (values,)),
+}
+
+
+@pytest.mark.parametrize("what", CONSTRUCTORS)
+def test_non_integers_are_named_in_full_at_the_first_offence(what):
+    build = CONSTRUCTORS[what]
+    for values, shown in [((1, True), "True"), ((1, 2.0, True), "2.0"),
+                          ((1, "2"), "'2'"), ((True, 5, 5), "True")]:
+        assert _message(build, values) == f"{what} must contain integers, got {shown}"
+
+
+def test_bijection_errors_name_the_first_offence_by_position():
+    for what, build in (("permutation", Permutation), ("pattern", GeneralizedPattern)):
+        assert _message(build, (1, 1, 5)) == f"{what}: duplicate 1 at position 2"
+        assert _message(build, (5, 1, 1)) == f"{what}: value 5 out of range 1..3 at position 1"
+        assert _message(build, (4, 2, 2, 9)) == f"{what}: duplicate 2 at position 3"
+        assert _message(build, (2, 1, 0)) == f"{what}: value 0 out of range 1..3 at position 3"
+        assert _message(build, ()) == f"{what} must contain at least one value"
+    assert _message(Embedding, ()) == "embedding must contain at least one position"
+    assert _message(Embedding, (4, 2, 2, 9)) == (
+        "embedding positions must strictly increase, got 4 then 2")
+    assert _message(CONSTRUCTORS["bar block"], ()) == "bar blocks must be non-empty"
+    assert _message(CONSTRUCTORS["bar block"], (2, 1, 0)) == (
+        "halves must contain positive values, got 0")
+
+
+def test_int_subclasses_other_than_bool_are_accepted():
+    values = (_Rank.TWO, _Rank.ONE)
+    assert Permutation(values).values == (2, 1)
+    assert GeneralizedPattern(values, ((1, 2),)).values == (2, 1)
+    assert Embedding(values[::-1]).positions == (1, 2)
+    assert MultisetHalves(values, (values,)).flatten() == (2, 1, 2, 1)
+    assert Permutation(values).values[0] is _Rank.TWO
 
 
 def test_graph_validation():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from permpat.core import Graph, ValidationError
 from permpat.textio import (
     ParseError,
     PatternSyntax,
+    _int_tokens,
     parse_graph,
     parse_pattern,
     parse_permutation,
@@ -124,6 +127,40 @@ def test_permutation_rejects_non_ascii_digits():
         with pytest.raises(ParseError, match="expected an integer") as err:
             parse_permutation(f"2 {digit} 1")
         assert err.value.offset == 2
+
+
+def test_int_tokens_separates_on_exactly_whitespace_and_commas():
+    """The tokenizer splits with str.split(); over every code point it must
+    agree with the grammar's regex class [\\s,]."""
+    separator = re.compile(r"[\s,]")
+    expected = [c for c in range(0x110000) if separator.fullmatch(chr(c))]
+    split_at = []
+    for c in range(0x110000):
+        try:
+            if _int_tokens("1" + chr(c) + "2") == [1, 2]:
+                split_at.append(c)
+        except ParseError:
+            pass
+    assert split_at == expected
+
+
+def test_int_tokens_forms_and_errors():
+    assert _int_tokens("1,,2") == [1, 2]
+    assert _int_tokens("1   2") == [1, 2]
+    assert _int_tokens(" 1\u3000,\t2\n") == [1, 2]
+    assert _int_tokens("53142") == [5, 3, 1, 4, 2]
+    for text, message, offset in [
+        (",", "empty input (byte 0)", 0),
+        (" ,\t\n", "empty input (byte 0)", 0),
+        ("1 x 3", "expected an integer, got 'x' (byte 2)", 2),
+        ("1 \u00b2", "expected an integer, got '\u00b2' (byte 2)", 2),
+        ("1 \u0663", "expected an integer, got '\u0663' (byte 2)", 2),
+        ("1\u3000x 2", "expected an integer, got 'x' (byte 4)", 4),
+        ("1 2 \u00b2x 3", "expected an integer, got '\u00b2x' (byte 4)", 4),
+    ]:
+        with pytest.raises(ParseError) as err:
+            _int_tokens(text)
+        assert (str(err.value), err.value.offset) == (message, offset), text
 
 
 def test_bracket_pattern_rejects_non_ascii_digits():
