@@ -25,7 +25,7 @@ import os
 import sys
 from functools import cache
 
-from .core import DEFAULT_BUDGET, BudgetExceededError, Embedding, ValidationError
+from .core import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from .folog import encode_formula, encode_structure, export_instance, model_check
 from .matcher import ENGINES, MatchRequest, Mode, iter_embeddings, match_dispatch
 from .reduction import KRangeError, format_trace, reduce
@@ -82,20 +82,19 @@ def _cmd_match(args: argparse.Namespace) -> int:
     if args.engine != "fo" and mode is Mode.ENUMERATE_ALL:
         result = None  # print each embedding as the search finds it
         for result in iter_embeddings(pattern, text, args.engine, args.budget):
-            print(line % result.positions)
+            print(line % result)
     elif args.engine != "fo":
         result = match_dispatch(MatchRequest(pattern, text, mode), args.engine, args.budget)
     elif mode is not Mode.DECIDE:
         print("error: the fo engine only decides; drop --count/--all", file=sys.stderr)
         return EXIT_USAGE
     else:  # the model checker shares no code with the engines
-        witness = model_check(encode_structure(text), encode_formula(pattern))
-        result = Embedding(witness) if witness is not None else None
+        result = model_check(encode_structure(text), encode_formula(pattern))
 
     if mode is Mode.COUNT:
         print(result)
     elif mode is Mode.DECIDE:
-        print("MATCH " + line % result.positions if result else "NO MATCH")
+        print("MATCH " + line % result if result else "NO MATCH")
     return EXIT_OK if result else EXIT_NEGATIVE
 
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "ValidationError",
     "BudgetExceededError",
     "Permutation",
     "GeneralizedPattern",
-    "Embedding",
     "MultisetHalves",
     "Graph",
     "DEFAULT_BUDGET",
@@ -155,42 +154,6 @@ class GeneralizedPattern:
         """Replace every value v by k + 1 - v, keeping the blocks."""
         k = len(self.values)
         return GeneralizedPattern(tuple(k + 1 - v for v in self.values), self.blocks)
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """A strictly increasing tuple of 1-based text positions.
-
-    positions[i] is the text position that receives pattern position i + 1.
-    """
-
-    positions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", _as_int_tuple(self.positions, "embedding"))
-        if not self.positions:
-            raise ValidationError("embedding must contain at least one position")
-        if self.positions[0] < 1:
-            raise ValidationError(f"embedding position {self.positions[0]} < 1")
-        for prev, cur in zip(self.positions, self.positions[1:]):
-            if cur <= prev:
-                raise ValidationError(
-                    f"embedding positions must strictly increase, got {prev} then {cur}"
-                )
-
-    @classmethod
-    def _trusted(cls, positions: tuple[int, ...]) -> Embedding:
-        """An embedding built without the checks, for engine output only:
-        the engines yield strictly increasing int tuples by construction."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "positions", positions)
-        return e
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.positions)
 
 
 @dataclass(frozen=True)

@@ -2,26 +2,28 @@
 
 A pattern P of length k matches a text T of length n when some strictly
 increasing tuple of text positions carries values ordered exactly like P,
-and every adjacency block of P lands on consecutive text positions.
+and every adjacency block of P lands on consecutive text positions.  An
+embedding is that tuple: k 1-based text positions, a plain ``tuple``.
 
 Each query runs one search, which yields its embeddings in lexicographic
 order:
 
-* ``_search`` is the engine table, the one place an engine name is
-  resolved.  ``brute`` filters every strictly increasing k-tuple of text
+* ``iter_embeddings`` is the engine table, the one place an engine name is
+  resolved, and yields each embedding as soon as the search finds it.
+  ``brute`` filters every strictly increasing k-tuple of text
   positions; it is the oracle and refuses to run past a candidate budget.
   ``backtrack`` (and ``auto``) lays adjacency blocks down as whole units,
   left to right from an explicit stack, pruned by three rules set up once
   per query (see ``_iter_backtracking``); it is the workhorse and carries
-  no budget.  The two engines share no code; each yields 1-based position
-  tuples, ready for output.
-* ``iter_embeddings`` yields that stream as ``Embedding`` values, each as
-  soon as the search finds it, without re-basing or re-checking them.
+  no budget.  The two engines share no code; each yields its tuples ready
+  for output, never re-based or re-checked.
 * ``match_dispatch`` is the one place a ``Mode`` is applied: DECIDE takes
   the first embedding (the lexicographically least) or None, COUNT counts
-  the stream without building embeddings, ENUMERATE_ALL lists it.  Its
-  ``auto`` engine decides the classical monotone patterns 1..k and k..1
-  with a longest-increasing-subsequence witness instead.
+  the stream, ENUMERATE_ALL lists it.  Its ``auto`` engine decides the
+  classical monotone patterns 1..k and k..1 with a
+  longest-increasing-subsequence witness instead.
+* ``is_valid_embedding`` is where an embedding from outside the engines is
+  checked, first as a tuple of positions, then as a matching.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ from typing import Iterator, Sequence
 from .core import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    Embedding,
     GeneralizedPattern,
     Permutation,
+    ValidationError,
+    _as_int_tuple,
 )
 
 __all__ = [
@@ -80,16 +83,30 @@ def _value_order(pattern: GeneralizedPattern) -> list[int]:
     return sorted(range(pattern.k), key=pattern.values.__getitem__)
 
 
-def is_valid_embedding(p: GeneralizedPattern, t: Permutation, e: Embedding) -> bool:
-    """True iff e realizes a matching of p into t: order-isomorphism (k - 1
-    comparisons along the pattern's value order) plus text adjacency inside
-    every block.  Positions strictly increase, so block [a, b] sits on
-    consecutive positions exactly when it spans b - a of them."""
-    if len(e.positions) != p.k:
-        raise ValueError(f"embedding length {len(e.positions)} != pattern length {p.k}")
-    if e.positions[-1] > t.n:
-        raise ValueError(f"embedding position {e.positions[-1]} exceeds text length {t.n}")
-    pos = e.positions
+def is_valid_embedding(p: GeneralizedPattern, t: Permutation, positions: Sequence[int]) -> bool:
+    """True iff the 1-based text positions realize a matching of p into t:
+    order-isomorphism (k - 1 comparisons along the pattern's value order)
+    plus text adjacency inside every block.  Positions strictly increase,
+    so block [a, b] sits on consecutive positions exactly when it spans
+    b - a of them.
+
+    Raises ValidationError unless positions are integers that strictly
+    increase from 1 up, and ValueError unless there are k of them, all
+    within the text."""
+    pos = _as_int_tuple(positions, "embedding")
+    if not pos:
+        raise ValidationError("embedding must contain at least one position")
+    if pos[0] < 1:
+        raise ValidationError(f"embedding position {pos[0]} < 1")
+    for prev, cur in zip(pos, pos[1:]):
+        if cur <= prev:
+            raise ValidationError(
+                f"embedding positions must strictly increase, got {prev} then {cur}"
+            )
+    if len(pos) != p.k:
+        raise ValueError(f"embedding length {len(pos)} != pattern length {p.k}")
+    if pos[-1] > t.n:
+        raise ValueError(f"embedding position {pos[-1]} exceeds text length {t.n}")
     for a, b in p.blocks:
         if pos[b - 1] - pos[a - 1] != b - a:
             return False
@@ -147,7 +164,7 @@ def _factor_starts(order: tuple[int, ...], tv: tuple[int, ...]) -> list[int]:
     return list(compress(range(m), map(all, zip(*rises))))
 
 
-# room for every pattern of one length up to 4 (192), which the exhaustive
+# room for every pattern of length up to 4 (221), which the exhaustive
 # verify walk cycles through for each text
 @lru_cache(maxsize=256)
 def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
@@ -272,13 +289,17 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
             scan[u] = bisect_left(starts[u], s + length)
 
 
-def _search(
-    pattern: GeneralizedPattern, text: Permutation, engine: str, budget: int
+def iter_embeddings(
+    pattern: GeneralizedPattern,
+    text: Permutation,
+    engine: str = "auto",
+    budget: int = DEFAULT_BUDGET,
 ) -> Iterator[tuple[int, ...]]:
-    """The lexicographic stream of 1-based position tuples of one of ENGINES.
-    Raises at the call, before the first item: BudgetExceededError when the
-    brute engine's C(n, k) candidates exceed the budget, ValueError for an
-    engine not in ENGINES."""
+    """Every embedding of pattern into text under one of ENGINES,
+    lexicographically, each yielded as soon as the search finds it.  Raises
+    at the call, before the first item: BudgetExceededError when the brute
+    engine's C(n, k) candidates exceed the budget, ValueError for an engine
+    not in ENGINES."""
     if engine == "brute":
         candidates = math.comb(text.n, pattern.k)
         if candidates > budget:
@@ -289,17 +310,6 @@ def _search(
     if engine in ("auto", "backtrack"):
         return _iter_backtracking(pattern, text)
     raise ValueError(f"unknown engine {engine!r}")
-
-
-def iter_embeddings(
-    pattern: GeneralizedPattern,
-    text: Permutation,
-    engine: str = "auto",
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[Embedding]:
-    """Every embedding of pattern into text, lexicographically, each yielded
-    as soon as the search finds it.  Raises at the call as ``_search`` does."""
-    return map(Embedding._trusted, _search(pattern, text, engine, budget))
 
 
 def _longest_runs_from(values: tuple[int, ...]) -> list[int]:
@@ -324,7 +334,7 @@ def lis_length(t: Permutation) -> int:
     return max(_longest_runs_from(t.values))
 
 
-def _lis_witness(t: Permutation, k: int) -> Embedding | None:
+def _lis_witness(t: Permutation, k: int) -> tuple[int, ...] | None:
     """The lexicographically least embedding of the identity pattern 1..k.
 
     Scanning left to right, the next position is the first one whose value
@@ -340,12 +350,12 @@ def _lis_witness(t: Permutation, k: int) -> Embedding | None:
         if v > last and runs[i] >= k - len(positions):
             positions.append(i + 1)
             last = v
-    return Embedding._trusted(tuple(positions)) if len(positions) == k else None
+    return tuple(positions) if len(positions) == k else None
 
 
 def match_dispatch(
     req: MatchRequest, engine: str = "auto", budget: int = DEFAULT_BUDGET
-) -> Embedding | int | list[Embedding] | None:
+) -> tuple[int, ...] | int | list[tuple[int, ...]] | None:
     """Answer req with one of ENGINES; the budget binds only the brute engine.
 
     ``auto`` decides the classical identity pattern 1..k through the
@@ -359,9 +369,9 @@ def match_dispatch(
             return _lis_witness(req.text, p.k)
         if p.values == tuple(range(p.k, 0, -1)):
             return _lis_witness(req.text.complement(), p.k)
+    found = iter_embeddings(p, req.text, engine, budget)
     if req.mode is Mode.COUNT:
-        return sum(1 for _ in _search(req.pattern, req.text, engine, budget))
-    found = iter_embeddings(req.pattern, req.text, engine, budget)
+        return sum(1 for _ in found)
     if req.mode is Mode.DECIDE:
         return next(found, None)
     return list(found)
@@ -369,11 +379,13 @@ def match_dispatch(
 
 def match_bruteforce(
     req: MatchRequest, budget: int = DEFAULT_BUDGET
-) -> Embedding | int | list[Embedding] | None:
-    """``match_dispatch(req, "brute", budget)``."""
+) -> tuple[int, ...] | int | list[tuple[int, ...]] | None:
+    """``match_dispatch(req, "brute", budget)``; kept only because
+    ``perfbench/workloads.py`` calls it (ROADMAP item 1)."""
     return match_dispatch(req, "brute", budget)
 
 
-def first_embedding(p: GeneralizedPattern, t: Permutation) -> Embedding | None:
-    """The lexicographically least embedding of p into t, or None."""
+def first_embedding(p: GeneralizedPattern, t: Permutation) -> tuple[int, ...] | None:
+    """The lexicographically least embedding of p into t, or None; kept
+    only because ``perfbench/workloads.py`` calls it (ROADMAP item 1)."""
     return match_dispatch(MatchRequest(p, t))

@@ -38,7 +38,6 @@ from typing import Callable
 from .core import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    Embedding,
     GeneralizedPattern,
     Graph,
     MultisetHalves,
@@ -286,17 +285,17 @@ def simultaneous_multiset_witness(
     return None
 
 
-def matched_vertices(trace: ReductionTrace, e: Embedding) -> tuple[int, ...]:
+def matched_vertices(trace: ReductionTrace, positions: tuple[int, ...]) -> tuple[int, ...]:
     """Decode which graph vertices a final-stage embedding selects.
 
     The pattern's i-th dot pair sits at pattern positions 2i-1, 2i and must
     land on some text dot pair 2v-1, 2v; the selected vertex is v.
     """
-    if len(e.positions) != len(trace.stage3_pattern):
+    if len(positions) != len(trace.stage3_pattern):
         raise ValueError("embedding length does not match the reduced pattern")
     vertices = []
     for i in range(1, trace.k + 1):
-        text_pos = e.positions[2 * i - 1]
+        text_pos = positions[2 * i - 1]
         if text_pos % 2 != 0 or text_pos > 2 * trace.l:
             raise ValueError(
                 f"pattern dot pair {i} does not land on a text dot pair (position {text_pos})"

@@ -18,7 +18,6 @@ from typing import Callable, Iterator
 from .core import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    Embedding,
     GeneralizedPattern,
     Graph,
     Permutation,
@@ -151,10 +150,10 @@ class _Check:
 
 def _exhaustive(
     max_k: int, max_n: int
-) -> Iterator[tuple[list[GeneralizedPattern], Iterator[Permutation]]]:
-    """For each pattern length k ≤ max_k, all_patterns(k) and a lazy walk over
-    the texts of length ≤ max_n: pairs go by pattern length, then text length,
-    text, pattern.  Raises BudgetExceededError at the call, before building any,
+) -> tuple[list[GeneralizedPattern], Iterator[Permutation]]:
+    """Every pattern of length ≤ max_k, and a lazy walk over the texts of
+    length ≤ max_n: pairs go by text length, then text, then pattern length,
+    pattern.  Raises BudgetExceededError at the call, before building any,
     when the pairs (Σ k!·2^(k-1) patterns × Σ n! texts) exceed DEFAULT_BUDGET."""
     patterns = sum(math.factorial(k) << (k - 1) for k in range(1, max_k + 1))
     pairs = patterns * sum(map(math.factorial, range(1, max_n + 1)))
@@ -163,42 +162,42 @@ def _exhaustive(
             f"{pairs} exhaustive (pattern, text) pairs exceed budget {DEFAULT_BUDGET}"
         )
     return (
-        (all_patterns(k), (t for n in range(1, max_n + 1) for t in all_texts(n)))
-        for k in range(1, max_k + 1)
+        [p for k in range(1, max_k + 1) for p in all_patterns(k)],
+        (t for n in range(1, max_n + 1) for t in all_texts(n)),
     )
 
 
 def suite_engines(
     max_n: int = 6, max_k: int = 4, samples: int = 200, seed: int = 0
 ) -> list[CheckResult]:
-    """Exhaustive engine cross-checks (pattern length, then text length, text,
+    """Exhaustive engine cross-checks (text length, then text, pattern length,
     pattern) plus seeded random symmetry checks."""
     equivalence = _Check("engine equivalence", _pattern_text_label)
     validity = _Check("embedding validity", _pattern_text_label)
     monotone = _Check("adjacency monotonicity", _pattern_text_label)
     classical = _Check("classical consistency", _pattern_text_label)
-    for patterns, texts in _exhaustive(max_k, max_n):
-        for t in texts:
-            counts = {}  # this text's counts, by pattern (values, blocks)
-            for p in patterns:
-                # one search per engine: match_dispatch answers DECIDE with the
-                # first item of this stream and COUNT with its length, so equal
-                # enumerations decide and count alike
-                enum = MatchRequest(p, t, Mode.ENUMERATE_ALL)
-                enum_brute = match_dispatch(enum, "brute")
-                enum_back = match_dispatch(enum, "backtrack")
-                equivalence.see(enum_brute == enum_back, p, t)
-                counts[p.values, p.blocks] = len(enum_back)
-                for e in enum_back:
-                    validity.see(is_valid_embedding(p, t, e), p, t)
-            for p in patterns:
-                if not p.blocks:
-                    continue
-                c = counts[p.values, p.blocks]
-                classical.see(c == 0 or counts[p.values, ()] > 0, p, t)
-                for drop in range(len(p.blocks)):
-                    fewer = p.blocks[:drop] + p.blocks[drop + 1:]
-                    monotone.see(c <= counts[p.values, fewer], p, t)
+    patterns, texts = _exhaustive(max_k, max_n)
+    for t in texts:
+        counts = {}  # this text's counts, by pattern (values, blocks)
+        for p in patterns:
+            # one search per engine: match_dispatch answers DECIDE with the
+            # first item of this stream and COUNT with its length, so equal
+            # enumerations decide and count alike
+            enum = MatchRequest(p, t, Mode.ENUMERATE_ALL)
+            enum_brute = match_dispatch(enum, "brute")
+            enum_back = match_dispatch(enum, "backtrack")
+            equivalence.see(enum_brute == enum_back, p, t)
+            counts[p.values, p.blocks] = len(enum_back)
+            for e in enum_back:
+                validity.see(is_valid_embedding(p, t, e), p, t)
+        for p in patterns:
+            if not p.blocks:
+                continue
+            c = counts[p.values, p.blocks]
+            classical.see(c == 0 or counts[p.values, ()] > 0, p, t)
+            for drop in range(len(p.blocks)):
+                fewer = p.blocks[:drop] + p.blocks[drop + 1:]
+                monotone.see(c <= counts[p.values, fewer], p, t)
 
     rng = random.Random(seed)
     complement = _Check("complement symmetry", _pattern_text_label)
@@ -248,7 +247,7 @@ def _graph_family(max_l: int, samples: int, rng: random.Random) -> list[Graph]:
     return graphs
 
 
-def _selects_independent_set(g: Graph, trace: ReductionTrace, e: Embedding) -> bool:
+def _selects_independent_set(g: Graph, trace: ReductionTrace, e: tuple[int, ...]) -> bool:
     """True iff a final-stage witness decodes to trace.k vertices of g with no
     edge among them; a witness that does not decode selects nothing."""
     try:
@@ -322,7 +321,7 @@ def suite_fo(
     max_n: int = 6, max_k: int = 4, samples: int = 500, seed: int = 0
 ) -> list[CheckResult]:
     """First-order decider agreement, witness validity and formula size, on
-    exhaustive pairs (pattern length, then text length, text, pattern)."""
+    exhaustive pairs (text length, then text, pattern length, pattern)."""
     agreement = _Check("fo decider agreement", _pattern_text_label)
     validity = _Check("fo witness validity", _pattern_text_label)
     literals = _Check("formula literal counts", serialize_pattern)
@@ -330,20 +329,21 @@ def suite_fo(
     def check_pair(p: GeneralizedPattern, f: FoFormula, t: Permutation, s: FoStructure) -> None:
         witness = model_check(s, f)
         decided = match_dispatch(MatchRequest(p, t, Mode.DECIDE))
-        agrees = witness == (decided.positions if decided else None)
+        agrees = witness == decided
         agreement.see(agrees, p, t)
         if agrees and witness is not None:
-            validity.see(is_valid_embedding(p, t, Embedding(witness)), p, t)
+            validity.see(is_valid_embedding(p, t, witness), p, t)
 
-    for k, (patterns, texts) in enumerate(_exhaustive(max_k, max_n), start=1):
-        formulas = list(map(encode_formula, patterns))
+    patterns, texts = _exhaustive(max_k, max_n)
+    formulas = list(map(encode_formula, patterns))
+    for p, f in zip(patterns, formulas):
+        k = p.k
+        total = len(f.pos_literals) + len(f.neg_literals)
+        literals.see(total == k * (k - 1) // 2 and total + len(f.adj_literals) <= k * k, p)
+    for t in texts:
+        s = encode_structure(t)
         for p, f in zip(patterns, formulas):
-            total = len(f.pos_literals) + len(f.neg_literals)
-            literals.see(total == k * (k - 1) // 2 and total + len(f.adj_literals) <= k * k, p)
-        for t in texts:
-            s = encode_structure(t)
-            for p, f in zip(patterns, formulas):
-                check_pair(p, f, t, s)
+            check_pair(p, f, t, s)
 
     rng = random.Random(seed)
     for _ in range(samples):

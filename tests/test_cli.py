@@ -7,7 +7,6 @@ import pytest
 
 from permpat import cli, core, matcher, verify
 from permpat.cli import EXIT_INTERNAL, main
-from permpat.core import Embedding
 from permpat.folog import parse_instance
 from permpat.matcher import is_valid_embedding, iter_embeddings
 from permpat.textio import parse_pattern, parse_permutation
@@ -61,7 +60,7 @@ def test_match_all_prints_the_same_embeddings_under_both_engines(capsys):
     expected = "".join(
         "(" + ",".join(map(str, combo)) + ")\n"
         for combo in itertools.combinations(range(1, t.n + 1), p.k)
-        if is_valid_embedding(p, t, Embedding(combo))
+        if is_valid_embedding(p, t, combo)
     )
     assert expected.count("\n") >= 3
     for engine in ["brute", "backtrack"]:
@@ -219,8 +218,8 @@ def test_engine_output_is_not_revalidated(capsys, monkeypatch):
     monkeypatch.setattr(core, "_as_int_tuple", counted)
     found = list(iter_embeddings(p, t))
     assert checked == []
-    assert found == [Embedding((1, 2, 4)), Embedding((2, 3, 5))]
-    assert hash(found[0]) == hash(Embedding((1, 2, 4)))
+    assert found == [(1, 2, 4), (2, 3, 5)]
+    assert hash(found[0]) == hash((1, 2, 4))
     checked.clear()
     assert run(capsys, "match", "-p", "[3 1] 2", "-t", "53142", "--all")[:2] == (
         0, "(1,2,4)\n(2,3,5)\n")
@@ -266,9 +265,9 @@ def test_match_deep_blocked_decreasing_pattern_with_backtrack_engine(capsys):
                        "-t", " ".join(map(str, values)), "--engine", "backtrack")
     assert code == 0
     assert out.startswith("MATCH (")
-    witness = Embedding(tuple(int(v) for v in out.strip()[len("MATCH ("):-1].split(",")))
+    witness = tuple(int(v) for v in out.strip()[len("MATCH ("):-1].split(","))
     assert is_valid_embedding(pattern, text, witness)
-    assert witness.positions[:10] == tuple(range(1, 11))
+    assert witness[:10] == tuple(range(1, 11))
 
 
 def test_match_fo_engine_deep_pattern(capsys):

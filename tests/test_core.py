@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permpat.core import (
-    Embedding,
     GeneralizedPattern,
     Graph,
     MultisetHalves,
     Permutation,
     ValidationError,
 )
+from permpat.matcher import is_valid_embedding
 from permpat.verify import all_patterns
 
 
@@ -87,16 +87,26 @@ def test_units_tile_the_pattern_and_keep_each_block_whole():
             assert p.units is p.units  # computed once per pattern
 
 
+def _embedding(positions):
+    """is_valid_embedding of positions for the identity pattern of their
+    length in the text 1..9, where every strictly increasing run of
+    positions from 1 to 9 is a matching."""
+    k = max(len(positions), 1)
+    return is_valid_embedding(
+        GeneralizedPattern(tuple(range(1, k + 1))), Permutation(tuple(range(1, 10))), positions
+    )
+
+
 def test_embedding_must_strictly_increase():
-    assert Embedding((1, 2, 4)).positions == (1, 2, 4)
+    assert _embedding((1, 2, 4))
     with pytest.raises(ValidationError):
-        Embedding((2, 2))
+        _embedding((2, 2))
     with pytest.raises(ValidationError):
-        Embedding((3, 1))
+        _embedding((3, 1))
     with pytest.raises(ValidationError):
-        Embedding((0, 1))
+        _embedding((0, 1))
     with pytest.raises(ValidationError):
-        Embedding(())
+        _embedding(())
 
 
 def test_multiset_halves_validation():
@@ -123,7 +133,7 @@ def _message(build, values):
 CONSTRUCTORS = {
     "permutation": Permutation,
     "pattern": GeneralizedPattern,
-    "embedding": Embedding,
+    "embedding": _embedding,
     "bar block": lambda values: MultisetHalves((1,), (values,)),
 }
 
@@ -143,8 +153,8 @@ def test_bijection_errors_name_the_first_offence_by_position():
         assert _message(build, (4, 2, 2, 9)) == f"{what}: duplicate 2 at position 3"
         assert _message(build, (2, 1, 0)) == f"{what}: value 0 out of range 1..3 at position 3"
         assert _message(build, ()) == f"{what} must contain at least one value"
-    assert _message(Embedding, ()) == "embedding must contain at least one position"
-    assert _message(Embedding, (4, 2, 2, 9)) == (
+    assert _message(_embedding, ()) == "embedding must contain at least one position"
+    assert _message(_embedding, (4, 2, 2, 9)) == (
         "embedding positions must strictly increase, got 4 then 2")
     assert _message(CONSTRUCTORS["bar block"], ()) == "bar blocks must be non-empty"
     assert _message(CONSTRUCTORS["bar block"], (2, 1, 0)) == (
@@ -155,7 +165,7 @@ def test_int_subclasses_other_than_bool_are_accepted():
     values = (_Rank.TWO, _Rank.ONE)
     assert Permutation(values).values == (2, 1)
     assert GeneralizedPattern(values, ((1, 2),)).values == (2, 1)
-    assert Embedding(values[::-1]).positions == (1, 2)
+    assert _embedding(values[::-1])
     assert MultisetHalves(values, (values,)).flatten() == (2, 1, 2, 1)
     assert Permutation(values).values[0] is _Rank.TWO
 

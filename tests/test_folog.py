@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from permpat.core import Embedding, ValidationError
+from permpat.core import ValidationError
 from permpat.folog import (
     FoFormula,
     FoStructure,
@@ -88,7 +88,7 @@ def test_model_check_agrees_with_bruteforce_witness():
         witness = model_check(encode_structure(t), encode_formula(p))
         found = match_bruteforce(MatchRequest(p, t, Mode.ENUMERATE_ALL))
         if found:
-            assert witness == found[0].positions
+            assert witness == found[0]
         else:
             assert witness is None
 
@@ -100,7 +100,7 @@ def test_witnesses_are_valid_embeddings_exhaustively_small():
                 for t in all_texts(n):
                     witness = model_check(encode_structure(t), encode_formula(p))
                     if witness is not None:
-                        assert is_valid_embedding(p, t, Embedding(witness))
+                        assert is_valid_embedding(p, t, witness)
 
 
 def test_literal_count_identity():

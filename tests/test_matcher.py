@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from permpat import matcher
-from permpat.core import BudgetExceededError, Embedding, GeneralizedPattern, Graph, Permutation
+from permpat.core import BudgetExceededError, GeneralizedPattern, Graph, Permutation
 from permpat.matcher import (
     MatchRequest,
     Mode,
@@ -34,7 +34,7 @@ def both(request):
 
 
 def test_example_text_contains_312():
-    assert both(req(parse_pattern("3 1 2"))) == Embedding((1, 2, 4))
+    assert both(req(parse_pattern("3 1 2"))) == (1, 2, 4)
 
 
 def test_example_text_avoids_123():
@@ -46,7 +46,7 @@ def test_example_text_avoids_fully_blocked_312():
 
 
 def test_example_text_contains_vincular_31_2():
-    assert both(req(parse_pattern("[3 1] 2"))) == Embedding((1, 2, 4))
+    assert both(req(parse_pattern("[3 1] 2"))) == (1, 2, 4)
 
 
 def test_counts_in_example_text():
@@ -54,25 +54,25 @@ def test_counts_in_example_text():
     assert both(req(parse_pattern("3 1 2"), Mode.COUNT)) == 4
     assert both(req(parse_pattern("[3 1] 2"), Mode.COUNT)) == 2
     embeddings = both(req(parse_pattern("3 1 2"), Mode.ENUMERATE_ALL))
-    assert [e.positions for e in embeddings] == [(1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5)]
+    assert embeddings == [(1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5)]
     vincular = both(req(parse_pattern("[3 1] 2"), Mode.ENUMERATE_ALL))
-    assert [e.positions for e in vincular] == [(1, 2, 4), (2, 3, 5)]
+    assert vincular == [(1, 2, 4), (2, 3, 5)]
 
 
 def test_is_valid_embedding_examples():
     p = parse_pattern("[3 1] 2")
-    assert is_valid_embedding(p, T, Embedding((1, 2, 4)))
+    assert is_valid_embedding(p, T, (1, 2, 4))
     # 512 is order-isomorphic to 312 but positions 1, 3 are not adjacent
-    assert not is_valid_embedding(p, T, Embedding((1, 3, 5)))
-    assert is_valid_embedding(parse_pattern("1"), T, Embedding((3,)))
+    assert not is_valid_embedding(p, T, (1, 3, 5))
+    assert is_valid_embedding(parse_pattern("1"), T, (3,))
 
 
 def test_is_valid_embedding_precondition_violations():
     p = parse_pattern("[3 1] 2")
     with pytest.raises(ValueError):
-        is_valid_embedding(p, T, Embedding((1, 2)))
+        is_valid_embedding(p, T, (1, 2))
     with pytest.raises(ValueError):
-        is_valid_embedding(p, T, Embedding((1, 2, 6)))
+        is_valid_embedding(p, T, (1, 2, 6))
 
 
 def test_is_valid_embedding_equals_the_all_pairs_definition():
@@ -91,7 +91,7 @@ def test_is_valid_embedding_equals_the_all_pairs_definition():
                             == (p.values[i] < p.values[j])
                             for i, j in pairs
                         )
-                        assert is_valid_embedding(p, t, Embedding(positions)) == expected
+                        assert is_valid_embedding(p, t, positions) == expected
 
 
 def test_every_enumerated_embedding_is_valid():
@@ -102,8 +102,8 @@ def test_every_enumerated_embedding_is_valid():
 
 def test_adjacent_increasing_pair_in_example_text():
     p = parse_pattern("[1 2]")
-    assert both(req(p)) == Embedding((3, 4))
-    assert first_embedding(p, T).positions == (3, 4)
+    assert both(req(p)) == (3, 4)
+    assert first_embedding(p, T) == (3, 4)
 
 
 def test_no_match_cases():
@@ -129,8 +129,8 @@ def test_lis_examples():
 
 def test_dispatch_uses_lis_for_identity_and_matches_engines():
     assert match_dispatch(req(parse_pattern("1 2 3"))) is None
-    assert match_dispatch(req(parse_pattern("1 2"))) == Embedding((2, 4))
-    assert match_dispatch(req(parse_pattern("[1 2]"))) == Embedding((3, 4))
+    assert match_dispatch(req(parse_pattern("1 2"))) == (2, 4)
+    assert match_dispatch(req(parse_pattern("[1 2]"))) == (3, 4)
     rng = random.Random(3)
     for _ in range(100):
         n = rng.randint(1, 9)
@@ -153,7 +153,7 @@ def test_budget_guard_refuses_large_bruteforce():
     with pytest.raises(BudgetExceededError):
         match_bruteforce(MatchRequest(p, t), budget=10**6)
     # the workhorse takes the same instance without a budget
-    assert match_dispatch(MatchRequest(p, t), "backtrack") == Embedding(tuple(range(1, 11)))
+    assert match_dispatch(MatchRequest(p, t), "backtrack") == tuple(range(1, 11))
 
 
 def test_engines_agree_exhaustively_small():
@@ -172,7 +172,7 @@ def test_enumeration_is_lexicographic():
         p = random_pattern(rng, rng.randint(1, 4))
         t = random_permutation(rng, rng.randint(1, 8))
         enum = MatchRequest(p, t, Mode.ENUMERATE_ALL)
-        found = [e.positions for e in match_dispatch(enum, "backtrack")]
+        found = match_dispatch(enum, "backtrack")
         assert found == sorted(found)
 
 
@@ -231,17 +231,41 @@ def test_dispatch_engine_table():
     big = MatchRequest(GeneralizedPattern(tuple(range(1, 11)), ()), t)
     with pytest.raises(BudgetExceededError):
         match_dispatch(big, "brute", budget=10**6)
-    assert match_dispatch(big, "auto", budget=0) == Embedding(tuple(range(1, 11)))
+    assert match_dispatch(big, "auto", budget=0) == tuple(range(1, 11))
     with pytest.raises(ValueError, match="unknown engine"):
         match_dispatch(big, "fo")
+
+
+def test_every_embedding_answer_is_a_plain_tuple(monkeypatch):
+    lis_calls = []
+    lis_witness = matcher._lis_witness
+
+    def counted(t, k):
+        lis_calls.append(k)
+        return lis_witness(t, k)
+
+    monkeypatch.setattr(matcher, "_lis_witness", counted)
+    vincular, identity, decreasing = map(parse_pattern, ("[3 1] 2", "1 2", "2 1"))
+    answers = []
+    for engine in ("auto", "backtrack", "brute"):
+        for p in (vincular, identity, decreasing):
+            answers.append(match_dispatch(req(p), engine))
+            answers.extend(match_dispatch(req(p, Mode.ENUMERATE_ALL), engine))
+    assert lis_calls == [2, 2]  # auto decided "1 2" and "2 1" on the LIS path
+    for p in (vincular, identity, decreasing):
+        answers.append(first_embedding(p, T))
+        answers.append(match_bruteforce(req(p)))
+        answers.extend(match_bruteforce(req(p, Mode.ENUMERATE_ALL)))
+    assert len(answers) == 63
+    assert [type(e) for e in answers] == [tuple] * len(answers)
 
 
 def test_iter_embeddings_streams_the_enumeration_and_refuses_at_the_call():
     p = parse_pattern("[3 1] 2")
     for engine in ("auto", "brute", "backtrack"):
         found = iter_embeddings(p, T, engine)
-        assert next(found) == Embedding((1, 2, 4))
-        assert list(found) == [Embedding((2, 3, 5))]
+        assert next(found) == (1, 2, 4)
+        assert list(found) == [(2, 3, 5)]
         assert list(iter_embeddings(p, T, engine)) == match_dispatch(
             req(p, Mode.ENUMERATE_ALL), engine
         )
@@ -276,7 +300,7 @@ def test_block_candidate_starts_are_the_order_isomorphic_factors():
                           for v in p.values[first:first + length])
             factor = GeneralizedPattern(block, ((1, length),))
             hits = match_bruteforce(MatchRequest(factor, t, Mode.ENUMERATE_ALL))
-            assert list(found) == [e.positions[0] - 1 for e in hits]
+            assert list(found) == [e[0] - 1 for e in hits]
 
 
 def test_unit_without_a_feasible_start_ends_the_search():

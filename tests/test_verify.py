@@ -5,7 +5,7 @@ import pytest
 
 from permpat import folog, reduction, verify
 from permpat.cli import main
-from permpat.core import DEFAULT_BUDGET, Embedding, GeneralizedPattern, Permutation
+from permpat.core import DEFAULT_BUDGET, GeneralizedPattern, Permutation
 from permpat.matcher import MatchRequest, Mode, match_dispatch
 from permpat.verify import (
     all_block_configs,
@@ -131,7 +131,7 @@ def test_a_reduction_witness_must_decode_to_an_independent_set(monkeypatch):
     # positions 1..|P| put the two dot pairs on text dot pairs 1 and 2, so
     # they select vertices 1 and 2 whether or not the graph joins them
     monkeypatch.setattr(verify, "match_dispatch",
-                        _decide_fault(lambda size: Embedding(tuple(range(1, size + 1)))))
+                        _decide_fault(lambda size: tuple(range(1, size + 1))))
     result = {r.name: r for r in SUITES["reduction"]()}["independent set vs matcher"]
     assert not result.ok
     graph, k = parse_graph(result.counterexample.removeprefix("graph:\n"))
@@ -139,7 +139,7 @@ def test_a_reduction_witness_must_decode_to_an_independent_set(monkeypatch):
     # positions 2..|P|+1 put the first dot pair on an odd text position,
     # which decodes to no vertex: a refutation, not a crash
     monkeypatch.setattr(verify, "match_dispatch",
-                        _decide_fault(lambda size: Embedding(tuple(range(2, size + 2)))))
+                        _decide_fault(lambda size: tuple(range(2, size + 2))))
     result = {r.name: r for r in SUITES["reduction"]()}["independent set vs matcher"]
     assert not result.ok
     _graph(result.counterexample)
@@ -280,9 +280,8 @@ def test_the_exhaustive_walk_builds_each_text_when_it_reaches_it(monkeypatch):
         return Permutation(values)
 
     monkeypatch.setattr(verify, "Permutation", counting)
-    walk = verify._exhaustive(2, 7)  # 5,913 texts of length at most 7
+    patterns, texts = verify._exhaustive(2, 7)  # 5,913 texts of length at most 7
     assert built == []
-    patterns, texts = next(walk)
     first_pair = patterns[0], next(texts)
     assert built == [(1,)]
     assert first_pair == (GeneralizedPattern((1,)), Permutation((1,)))
