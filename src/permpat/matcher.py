@@ -164,8 +164,8 @@ def _factor_starts(order: tuple[int, ...], tv: tuple[int, ...]) -> list[int]:
     return list(compress(range(m), map(all, zip(*rises))))
 
 
-# room for every pattern of length up to 4 (221), which the exhaustive
-# verify walk cycles through for each text
+# room for one exhaustive verify group, whose patterns cycle for each text:
+# a value order's 2^(k-1) block sets, at most 256 for any k the budget admits
 @lru_cache(maxsize=256)
 def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
     """The text-independent part of a backtracking search, kept for reuse

@@ -19,14 +19,12 @@ are ignored; LF and CRLF both work.
 
 from __future__ import annotations
 
-import enum
 import re
 
 from .core import Graph, GeneralizedPattern, Permutation
 
 __all__ = [
     "ParseError",
-    "PatternSyntax",
     "parse_permutation",
     "parse_pattern",
     "serialize_pattern",
@@ -52,11 +50,6 @@ class ParseError(ValueError):
         elif line is not None:
             message = f"{message} (line {line})"
         super().__init__(message)
-
-
-class PatternSyntax(enum.Enum):
-    BRACKET = "bracket"
-    DASH = "dash"
 
 
 def is_ascii_digits(text: str) -> bool:
@@ -171,29 +164,22 @@ def _parse_dash(text: str) -> GeneralizedPattern:
     return GeneralizedPattern(tuple(values), tuple(blocks))
 
 
-def parse_pattern(text: str, syntax: PatternSyntax | None = None) -> GeneralizedPattern:
+def parse_pattern(text: str) -> GeneralizedPattern:
     """Parse a generalized pattern.
 
-    With syntax=None the syntax is detected: a bracket selects bracket
-    form, a dash selects dash form, and plain input is read as a classical
-    pattern using the permutation grammar.  Note the detection matters:
-    "312" is classical when auto-detected but a single three-element block
-    under explicit dash syntax.
+    A bracket selects bracket syntax and a dash selects dash syntax; input
+    with neither is a classical pattern read with the permutation grammar.
+    So "312" is classical, and a block over the whole pattern is "[3 1 2]".
     """
     has_bracket = any(c in text for c in _OPEN + _CLOSE)
     has_dash = "-" in text
     if has_bracket and has_dash:
         raise ParseError("mixed bracket and dash syntaxes")
-    if syntax is None:
-        if has_bracket:
-            syntax = PatternSyntax.BRACKET
-        elif has_dash:
-            syntax = PatternSyntax.DASH
-        else:
-            return GeneralizedPattern(tuple(_int_tokens(text)), ())
-    if syntax is PatternSyntax.BRACKET:
+    if has_bracket:
         return _parse_bracket(text)
-    return _parse_dash(text)
+    if has_dash:
+        return _parse_dash(text)
+    return GeneralizedPattern(tuple(_int_tokens(text)), ())
 
 
 def serialize_pattern(p: GeneralizedPattern) -> str:

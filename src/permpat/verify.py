@@ -150,11 +150,11 @@ class _Check:
 
 def _exhaustive(
     max_k: int, max_n: int
-) -> tuple[list[GeneralizedPattern], Iterator[Permutation]]:
-    """Every pattern of length ≤ max_k, and a lazy walk over the texts of
-    length ≤ max_n: pairs go by text length, then text, then pattern length,
-    pattern.  Raises BudgetExceededError at the call, before building any,
-    when the pairs (Σ k!·2^(k-1) patterns × Σ n! texts) exceed DEFAULT_BUDGET."""
+) -> Iterator[tuple[list[GeneralizedPattern], Iterator[Permutation]]]:
+    """One group, built when reached, per value order of length ≤ max_k: its
+    2^(k-1) patterns, classical first, and a lazy walk over the texts of length
+    ≤ max_n.  Raises BudgetExceededError at the call, before building any, when
+    the pairs (Σ k!·2^(k-1) patterns × Σ n! texts) exceed DEFAULT_BUDGET."""
     patterns = sum(math.factorial(k) << (k - 1) for k in range(1, max_k + 1))
     pairs = patterns * sum(map(math.factorial, range(1, max_n + 1)))
     if pairs > DEFAULT_BUDGET:
@@ -162,42 +162,42 @@ def _exhaustive(
             f"{pairs} exhaustive (pattern, text) pairs exceed budget {DEFAULT_BUDGET}"
         )
     return (
-        [p for k in range(1, max_k + 1) for p in all_patterns(k)],
-        (t for n in range(1, max_n + 1) for t in all_texts(n)),
+        ([GeneralizedPattern(values, cfg) for cfg in all_block_configs(k)],
+         (t for n in range(1, max_n + 1) for t in all_texts(n)))
+        for k in range(1, max_k + 1)
+        for values in permutations(range(1, k + 1))
     )
 
 
 def suite_engines(
     max_n: int = 6, max_k: int = 4, samples: int = 200, seed: int = 0
 ) -> list[CheckResult]:
-    """Exhaustive engine cross-checks (text length, then text, pattern length,
-    pattern) plus seeded random symmetry checks."""
+    """Exhaustive engine cross-checks (value order, then text, block set) plus
+    seeded random symmetry checks."""
     equivalence = _Check("engine equivalence", _pattern_text_label)
     validity = _Check("embedding validity", _pattern_text_label)
     monotone = _Check("adjacency monotonicity", _pattern_text_label)
     classical = _Check("classical consistency", _pattern_text_label)
-    patterns, texts = _exhaustive(max_k, max_n)
-    for t in texts:
-        counts = {}  # this text's counts, by pattern (values, blocks)
-        for p in patterns:
-            # one search per engine: match_dispatch answers DECIDE with the
-            # first item of this stream and COUNT with its length, so equal
-            # enumerations decide and count alike
-            enum = MatchRequest(p, t, Mode.ENUMERATE_ALL)
-            enum_brute = match_dispatch(enum, "brute")
-            enum_back = match_dispatch(enum, "backtrack")
-            equivalence.see(enum_brute == enum_back, p, t)
-            counts[p.values, p.blocks] = len(enum_back)
-            for e in enum_back:
-                validity.see(is_valid_embedding(p, t, e), p, t)
-        for p in patterns:
-            if not p.blocks:
-                continue
-            c = counts[p.values, p.blocks]
-            classical.see(c == 0 or counts[p.values, ()] > 0, p, t)
-            for drop in range(len(p.blocks)):
-                fewer = p.blocks[:drop] + p.blocks[drop + 1:]
-                monotone.see(c <= counts[p.values, fewer], p, t)
+    for patterns, texts in _exhaustive(max_k, max_n):
+        for t in texts:
+            counts = {}  # this text's counts, by block set
+            for p in patterns:
+                # one search per engine: match_dispatch answers DECIDE with the
+                # first item of this stream and COUNT with its length, so equal
+                # enumerations decide and count alike
+                enum = MatchRequest(p, t, Mode.ENUMERATE_ALL)
+                enum_brute = match_dispatch(enum, "brute")
+                enum_back = match_dispatch(enum, "backtrack")
+                equivalence.see(enum_brute == enum_back, p, t)
+                counts[p.blocks] = len(enum_back)
+                for e in enum_back:
+                    validity.see(is_valid_embedding(p, t, e), p, t)
+            for p in patterns[1:]:  # the blocked ones; patterns[0] is classical
+                c = counts[p.blocks]
+                classical.see(c == 0 or counts[()] > 0, p, t)
+                for drop in range(len(p.blocks)):
+                    fewer = p.blocks[:drop] + p.blocks[drop + 1:]
+                    monotone.see(c <= counts[fewer], p, t)
 
     rng = random.Random(seed)
     complement = _Check("complement symmetry", _pattern_text_label)
@@ -321,7 +321,7 @@ def suite_fo(
     max_n: int = 6, max_k: int = 4, samples: int = 500, seed: int = 0
 ) -> list[CheckResult]:
     """First-order decider agreement, witness validity and formula size, on
-    exhaustive pairs (text length, then text, pattern length, pattern)."""
+    exhaustive pairs (value order, then text, block set)."""
     agreement = _Check("fo decider agreement", _pattern_text_label)
     validity = _Check("fo witness validity", _pattern_text_label)
     literals = _Check("formula literal counts", serialize_pattern)
@@ -334,16 +334,16 @@ def suite_fo(
         if agrees and witness is not None:
             validity.see(is_valid_embedding(p, t, witness), p, t)
 
-    patterns, texts = _exhaustive(max_k, max_n)
-    formulas = list(map(encode_formula, patterns))
-    for p, f in zip(patterns, formulas):
-        k = p.k
-        total = len(f.pos_literals) + len(f.neg_literals)
-        literals.see(total == k * (k - 1) // 2 and total + len(f.adj_literals) <= k * k, p)
-    for t in texts:
-        s = encode_structure(t)
+    for patterns, texts in _exhaustive(max_k, max_n):
+        formulas = list(map(encode_formula, patterns))
         for p, f in zip(patterns, formulas):
-            check_pair(p, f, t, s)
+            k = p.k
+            total = len(f.pos_literals) + len(f.neg_literals)
+            literals.see(total == k * (k - 1) // 2 and total + len(f.adj_literals) <= k * k, p)
+        for t in texts:
+            s = encode_structure(t)
+            for p, f in zip(patterns, formulas):
+                check_pair(p, f, t, s)
 
     rng = random.Random(seed)
     for _ in range(samples):

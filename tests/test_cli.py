@@ -1,10 +1,13 @@
 import functools
 import itertools
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import permpat
 from permpat import cli, core, matcher, verify
 from permpat.cli import EXIT_INTERNAL, main
 from permpat.folog import parse_instance
@@ -12,6 +15,15 @@ from permpat.matcher import is_valid_embedding, iter_embeddings
 from permpat.textio import parse_pattern, parse_permutation
 
 SIX_VERTEX_GRAPH_TEXT = "p 6 7\nk 3\n1 3\n1 4\n1 5\n2 6\n3 4\n3 6\n5 6\n"
+
+
+@pytest.fixture(autouse=True)
+def child_processes_import_this_permpat(monkeypatch):
+    """A `python -m permpat` child imports the package under test, whether it
+    is installed or found through pytest's pythonpath setting."""
+    src = str(Path(permpat.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    monkeypatch.setenv("PYTHONPATH", path)
 
 
 def run(capsys, *argv):
@@ -455,11 +467,11 @@ def test_verify_contradictory_bounds(capsys):
 ], ids=["engines", "fo"])
 def test_verify_refuses_exhaustive_bounds_over_the_budget(capsys, monkeypatch,
                                                           suite, bound, value, pairs):
-    def not_before_the_budget_check(length):
-        raise AssertionError(f"built the length-{length} cases before the budget check")
+    def not_before_the_budget_check(*args):
+        raise AssertionError(f"built cases from {args} before the budget check")
 
-    monkeypatch.setattr(verify, "all_patterns", not_before_the_budget_check)
-    monkeypatch.setattr(verify, "all_texts", not_before_the_budget_check)
+    for builder in ("all_patterns", "all_block_configs", "GeneralizedPattern", "all_texts"):
+        monkeypatch.setattr(verify, builder, not_before_the_budget_check)
     code, out, err = run(capsys, "verify", "--suite", suite, bound, value)
     assert code == 4
     assert out == ""

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from permpat.core import Graph, ValidationError
 from permpat.textio import (
     ParseError,
-    PatternSyntax,
     _int_tokens,
+    _parse_dash,
     parse_graph,
     parse_pattern,
     parse_permutation,
@@ -56,10 +56,8 @@ def test_parse_pattern_accepts_angle_bracket_aliases():
 def test_parse_pattern_dash():
     assert parse_pattern("31-2") == parse_pattern("[3 1] 2")
     assert parse_pattern("3-1-2") == parse_pattern("3 1 2")
-    # without any dash, auto mode reads a classical pattern
+    # without any dash, the input is a classical pattern
     assert parse_pattern("312").blocks == ()
-    # explicit dash syntax turns the single group into one block
-    assert parse_pattern("312", PatternSyntax.DASH).blocks == ((1, 3),)
 
 
 def test_parse_pattern_errors():
@@ -187,7 +185,9 @@ def test_graph_rejects_non_ascii_digits():
 def test_dash_and_bracket_forms_agree_exhaustively_up_to_k4():
     for p in (p for k in range(1, 5) for p in all_patterns(k)):
         dash = _dash_form(p)
-        assert parse_pattern(dash, PatternSyntax.DASH) == p
+        # a dash form with no dash (one group, or k = 1) reads as classical
+        # under parse_pattern, so it goes to the dash grammar directly
+        assert (parse_pattern if "-" in dash else _parse_dash)(dash) == p
         assert parse_pattern(serialize_pattern(p)) == p
 
 

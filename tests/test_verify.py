@@ -1,4 +1,5 @@
 import re
+from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
@@ -280,11 +281,44 @@ def test_the_exhaustive_walk_builds_each_text_when_it_reaches_it(monkeypatch):
         return Permutation(values)
 
     monkeypatch.setattr(verify, "Permutation", counting)
-    patterns, texts = verify._exhaustive(2, 7)  # 5,913 texts of length at most 7
+    groups = verify._exhaustive(2, 7)  # 5,913 texts of length at most 7
+    assert built == []
+    patterns, texts = next(groups)
     assert built == []
     first_pair = patterns[0], next(texts)
     assert built == [(1,)]
     assert first_pair == (GeneralizedPattern((1,)), Permutation((1,)))
+
+
+def test_the_exhaustive_walk_goes_one_value_order_at_a_time():
+    every_text = [t for n in range(1, 7) for t in permutations(range(1, n + 1))]
+    walked = []
+    for patterns, texts in verify._exhaustive(4, 6):
+        values = patterns[0].values
+        assert all(p.values == values for p in patterns)
+        assert len(patterns) <= 2 ** (len(values) - 1)
+        assert patterns[0].blocks == ()  # the classical pattern leads
+        assert [t.values for t in texts] == every_text
+        walked += patterns
+    assert len(walked) == len(set(walked)) == 221
+    assert set(walked) == {p for k in range(1, 5) for p in all_patterns(k)}
+
+
+def test_the_exhaustive_walk_builds_each_group_when_it_reaches_it(monkeypatch):
+    built = []
+
+    def counting(values, blocks=()):
+        built.append((values, blocks))
+        return GeneralizedPattern(values, blocks)
+
+    monkeypatch.setattr(verify, "GeneralizedPattern", counting)
+    groups = verify._exhaustive(8, 3)  # 49.6 M pairs, 5.51 M patterns
+    assert built == []
+    patterns, _ = next(groups)
+    assert built == [((1,), ())]
+    assert patterns == [GeneralizedPattern((1,))]
+    next(groups)
+    assert built[1:] == [((1, 2), ()), ((1, 2), ((1, 2),))]
 
 
 def test_verify_prints_a_refuted_check_and_exits_1(monkeypatch, capsys):
