@@ -26,7 +26,7 @@ import sys
 from functools import cache
 
 from .core import DEFAULT_BUDGET, BudgetExceededError, ValidationError
-from .folog import encode_formula, encode_structure, export_instance, model_check
+from .folog import encode_formula, export_instance, model_check
 from .matcher import ENGINES, MatchRequest, Mode, iter_embeddings, match_dispatch
 from .reduction import KRangeError, format_trace, reduce
 from .textio import (
@@ -89,7 +89,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         print("error: the fo engine only decides; drop --count/--all", file=sys.stderr)
         return EXIT_USAGE
     else:  # the model checker shares no code with the engines
-        result = model_check(encode_structure(text), encode_formula(pattern))
+        result = model_check(text, encode_formula(pattern))
 
     if mode is Mode.COUNT:
         print(result)
@@ -122,7 +122,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_encode_fo(args: argparse.Namespace) -> int:
     pattern = parse_pattern(_read_arg(args.pattern))
     text = parse_permutation(_read_arg(args.text))
-    payload = export_instance(encode_structure(text), encode_formula(pattern))
+    payload = export_instance(text, encode_formula(pattern))
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(payload + "\n")
     return EXIT_OK

@@ -1,13 +1,13 @@
 """Existential first-order encoding of matching instances, plus a naive
 model checker used as an independent cross-check of the matching engines.
 
-A text becomes a finite structure over positions 1..n carrying two binary
-relations: text_less(x, y) holds when the value at position x is smaller
-than the value at position y, and succ(x, y) holds when y = x + 1.  A
-pattern becomes an existential conjunction over variables x_1 < ... < x_k:
-one text_less or negated text_less literal per position pair, plus one
-succ literal per adjacent pair inside a block.  The chain x_1 < ... < x_k
-is implicit in the formula object and in the search.
+A text is its own finite structure over positions 1..n, carrying two binary
+relations read straight off its values: text_less(x, y) holds when the value
+at position x is smaller than the value at position y, and succ(x, y) holds
+when y = x + 1.  A pattern becomes an existential conjunction over
+variables x_1 < ... < x_k: one text_less or negated text_less literal per
+position pair, plus one succ literal per adjacent pair inside a block.  The
+chain x_1 < ... < x_k is implicit in the formula object and in the search.
 
 The model checker shares no code with the matching engines; agreement
 between the two is a meaningful consistency check, not a tautology.
@@ -21,7 +21,6 @@ from .core import GeneralizedPattern, Permutation, ValidationError
 from .textio import ParseError, is_ascii_digits
 
 __all__ = [
-    "FoStructure",
     "FoFormula",
     "encode_structure",
     "encode_formula",
@@ -29,34 +28,6 @@ __all__ = [
     "export_instance",
     "parse_instance",
 ]
-
-
-@dataclass(frozen=True)
-class FoStructure:
-    """Relational view of a text: domain 1..n, text_less and succ."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        Permutation(self.values)  # borrow the bijection check
-        object.__setattr__(self, "values", tuple(self.values))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def text_less_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The materialized relation, sorted; always n(n-1)/2 pairs."""
-        n = self.n
-        return tuple(
-            (x, y)
-            for x in range(1, n + 1)
-            for y in range(1, n + 1)
-            if x != y and self.values[x - 1] < self.values[y - 1]
-        )
-
-    def succ_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((x, x + 1) for x in range(1, self.n))
 
 
 @dataclass(frozen=True)
@@ -92,8 +63,10 @@ class FoFormula:
         object.__setattr__(self, "adj_literals", adj)
 
 
-def encode_structure(t: Permutation) -> FoStructure:
-    return FoStructure(t.values)
+def encode_structure(t: Permutation) -> Permutation:
+    """The text itself, which already is its structure.  Kept because the
+    benchmark's traced crosscheck times the encoding step by this name."""
+    return t
 
 
 def encode_formula(p: GeneralizedPattern) -> FoFormula:
@@ -113,7 +86,7 @@ def encode_formula(p: GeneralizedPattern) -> FoFormula:
     return FoFormula(k, frozenset(pos), frozenset(neg), frozenset(adj))
 
 
-def model_check(s: FoStructure, f: FoFormula) -> tuple[int, ...] | None:
+def model_check(t: Permutation, f: FoFormula) -> tuple[int, ...] | None:
     """The lexicographically least satisfying assignment, or None.
 
     Plain backtracking along the implicit chain, kept on an explicit stack
@@ -121,9 +94,9 @@ def model_check(s: FoStructure, f: FoFormula) -> tuple[int, ...] | None:
     increasing order above x_{j-1}, each checked against every literal
     whose variables are all assigned.
     """
-    n = s.n
+    values = t.values
+    n = len(values)
     k = f.var_count
-    values = s.values
     pos_by_j: list[list[int]] = [[] for _ in range(k + 1)]
     neg_by_j: list[list[int]] = [[] for _ in range(k + 1)]
     for i, j in f.pos_literals:
@@ -163,38 +136,46 @@ def model_check(s: FoStructure, f: FoFormula) -> tuple[int, ...] | None:
     return None
 
 
-def export_instance(s: FoStructure, f: FoFormula) -> str:
+def export_instance(t: Permutation, f: FoFormula) -> str:
     """Deterministic line format: "fo <n> <k>" then one line per relation
     tuple and per literal.  parse_instance inverts this losslessly."""
-    lines = [f"fo {s.n} {f.var_count}"]
-    lines.extend(f"tl {x} {y}" for x, y in s.text_less_pairs())
-    lines.extend(f"s {x} {y}" for x, y in s.succ_pairs())
+    values = t.values
+    n = len(values)
+    lines = [f"fo {n} {f.var_count}"]
+    lines.extend(
+        f"tl {x} {y}"
+        for x, vx in enumerate(values, start=1)
+        for y, vy in enumerate(values, start=1)
+        if vx < vy
+    )
+    lines.extend(f"s {x} {x + 1}" for x in range(1, n))
     lines.extend(f"pos {i} {j}" for i, j in sorted(f.pos_literals))
     lines.extend(f"neg {i} {j}" for i, j in sorted(f.neg_literals))
     lines.extend(f"adj {i}" for i in sorted(f.adj_literals))
     return "\n".join(lines)
 
 
-def parse_instance(text: str) -> tuple[FoStructure, FoFormula]:
-    """Inverse of export_instance, with consistency checks on the relations."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ParseError("empty instance")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "fo" or not all(map(is_ascii_digits, head[1:])):
-        raise ParseError("expected header 'fo <n> <k>'", line=1)
-    n, k = int(head[1]), int(head[2])
-    if n < 1 or k < 1:
-        raise ParseError("the header's n and k must be positive", line=1)
+def parse_instance(text: str) -> tuple[Permutation, FoFormula]:
+    """Inverse of export_instance, with consistency checks on the relations.
+    Line numbers in errors count every physical line, blank ones included."""
+    header: tuple[int, int] | None = None
     tl: set[tuple[int, int]] = set()
     succ: set[tuple[int, int]] = set()
     pos: set[tuple[int, int]] = set()
     neg: set[tuple[int, int]] = set()
     adj: set[int] = set()
     kinds = {"tl": (tl, 2), "s": (succ, 2), "pos": (pos, 2), "neg": (neg, 2), "adj": (adj, 1)}
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        if header is None:
+            if len(fields) != 3 or fields[0] != "fo" or not all(map(is_ascii_digits, fields[1:])):
+                raise ParseError("expected header 'fo <n> <k>'", line=lineno)
+            header = int(fields[1]), int(fields[2])
+            if header[0] < 1 or header[1] < 1:
+                raise ParseError("the header's n and k must be positive", line=lineno)
+            continue
         if fields[0] not in kinds:
             raise ParseError(f"unknown line kind {fields[0]!r}", line=lineno)
         target, arity = kinds[fields[0]]
@@ -202,6 +183,9 @@ def parse_instance(text: str) -> tuple[FoStructure, FoFormula]:
         if len(args) != arity or not all(map(is_ascii_digits, args)):
             raise ParseError(f"malformed {fields[0]!r} line", line=lineno)
         target.add(tuple(int(a) for a in args) if arity == 2 else int(args[0]))
+    if header is None:
+        raise ParseError("empty instance")
+    n, k = header
     for a, b in tl:
         if not (1 <= a <= n and 1 <= b <= n):
             raise ParseError(f"text_less pair ({a}, {b}) outside positions 1..{n}")
@@ -217,15 +201,17 @@ def parse_instance(text: str) -> tuple[FoStructure, FoFormula]:
     for a, b in tl:
         values[b - 1] += 1
     try:
-        structure = FoStructure(tuple(values))
+        t = Permutation(tuple(values))
     except ValidationError as exc:
         raise ParseError(f"text_less relation is not induced by a permutation: {exc}")
-    if set(structure.text_less_pairs()) != tl:
+    # n(n-1)/2 distinct in-range pairs that all rise in value are exactly the
+    # pairs the permutation induces, so no rebuilt relation is needed
+    if any(values[a - 1] >= values[b - 1] for a, b in tl):
         raise ParseError("text_less relation is not induced by a permutation")
-    if set(structure.succ_pairs()) != succ:
+    if succ != {(x, x + 1) for x in range(1, n)}:
         raise ParseError(f"succ relation must be exactly the {n - 1} consecutive pairs")
     try:
         formula = FoFormula(k, frozenset(pos), frozenset(neg), frozenset(adj))
     except ValidationError as exc:
         raise ParseError(str(exc))
-    return structure, formula
+    return t, formula

@@ -105,10 +105,6 @@ class ReductionTrace:
         if layout != [1] * (2 * k) + [4] + [3] * (k * (k - 1) // 2):
             raise ValidationError("pattern blocks do not follow separator + triples layout")
 
-    @property
-    def non_edge_count(self) -> int:
-        return len(self.stage1_text.bar)
-
 
 def build_multiset_instance(g: Graph, k: int) -> tuple[MultisetHalves, MultisetHalves]:
     """Stage 1: vertex-list halves plus pair-encoding bar halves.

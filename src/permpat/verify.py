@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Iterator
 
@@ -23,7 +22,7 @@ from .core import (
     Permutation,
 )
 from .matcher import MatchRequest, Mode, is_valid_embedding, lis_length, match_dispatch
-from .folog import FoFormula, FoStructure, encode_formula, encode_structure, model_check
+from .folog import FoFormula, encode_formula, model_check
 from .reduction import (
     ReductionTrace,
     deduplicate_with_reals,
@@ -48,15 +47,6 @@ __all__ = [
     "suite_lis",
     "run_suites",
 ]
-
-
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    instances: int
-    detail: str
-    counterexample: str | None = None
 
 
 def all_block_configs(k: int) -> list[tuple[tuple[int, int], ...]]:
@@ -124,16 +114,22 @@ def _graph_label(g: Graph, k: int) -> str:
     return f"graph:\n{serialize_graph(g, k)}"
 
 
-class _Check:
+class CheckResult:
     """One property under test: the instances it saw, how many held, and the
-    first one that refuted it, rendered by ``label``."""
+    first one that refuted it, rendered by ``label``.  It holds while no
+    counterexample is recorded; ``result`` adds the summary line."""
 
     def __init__(self, name: str, label: Callable[..., str]) -> None:
         self.name = name
         self.label = label
         self.instances = 0
         self.passed = 0
+        self.detail = ""
         self.counterexample: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None
 
     def see(self, ok: bool, *instance: object) -> None:
         self.instances += 1
@@ -143,9 +139,8 @@ class _Check:
             self.counterexample = self.label(*instance)
 
     def result(self, detail: str) -> CheckResult:
-        return CheckResult(
-            self.name, self.counterexample is None, self.instances, detail, self.counterexample
-        )
+        self.detail = detail
+        return self
 
 
 def _exhaustive(
@@ -174,10 +169,10 @@ def suite_engines(
 ) -> list[CheckResult]:
     """Exhaustive engine cross-checks (value order, then text, block set) plus
     seeded random symmetry checks."""
-    equivalence = _Check("engine equivalence", _pattern_text_label)
-    validity = _Check("embedding validity", _pattern_text_label)
-    monotone = _Check("adjacency monotonicity", _pattern_text_label)
-    classical = _Check("classical consistency", _pattern_text_label)
+    equivalence = CheckResult("engine equivalence", _pattern_text_label)
+    validity = CheckResult("embedding validity", _pattern_text_label)
+    monotone = CheckResult("adjacency monotonicity", _pattern_text_label)
+    classical = CheckResult("classical consistency", _pattern_text_label)
     for patterns, texts in _exhaustive(max_k, max_n):
         for t in texts:
             counts = {}  # this text's counts, by block set
@@ -200,7 +195,7 @@ def suite_engines(
                     monotone.see(c <= counts[fewer], p, t)
 
     rng = random.Random(seed)
-    complement = _Check("complement symmetry", _pattern_text_label)
+    complement = CheckResult("complement symmetry", _pattern_text_label)
     for _ in range(samples):
         k = rng.randint(1, 6)
         n = rng.randint(1, 10)
@@ -262,12 +257,12 @@ def suite_reduction(
 ) -> list[CheckResult]:
     """End-to-end checks of the construction against the subset oracle."""
     rng = random.Random(seed)
-    end_to_end = _Check("independent set vs matcher", _graph_label)
-    multiset_oracle = _Check("multiset stage vs oracle", _graph_label)
-    multiset_final = _Check("multiset stage vs final stage", _graph_label)
-    separator = _Check("separator uniqueness", _graph_label)
-    sizes = _Check("size identities", _graph_label)
-    ranks = _Check("rank stability", _graph_label)
+    end_to_end = CheckResult("independent set vs matcher", _graph_label)
+    multiset_oracle = CheckResult("multiset stage vs oracle", _graph_label)
+    multiset_final = CheckResult("multiset stage vs final stage", _graph_label)
+    separator = CheckResult("separator uniqueness", _graph_label)
+    sizes = CheckResult("size identities", _graph_label)
+    ranks = CheckResult("rank stability", _graph_label)
     for g in _graph_family(max_l, samples, rng):
         for k in range(1, min(max_k, g.l) + 1):
             trace = reduce(g, k)
@@ -322,12 +317,12 @@ def suite_fo(
 ) -> list[CheckResult]:
     """First-order decider agreement, witness validity and formula size, on
     exhaustive pairs (value order, then text, block set)."""
-    agreement = _Check("fo decider agreement", _pattern_text_label)
-    validity = _Check("fo witness validity", _pattern_text_label)
-    literals = _Check("formula literal counts", serialize_pattern)
+    agreement = CheckResult("fo decider agreement", _pattern_text_label)
+    validity = CheckResult("fo witness validity", _pattern_text_label)
+    literals = CheckResult("formula literal counts", serialize_pattern)
 
-    def check_pair(p: GeneralizedPattern, f: FoFormula, t: Permutation, s: FoStructure) -> None:
-        witness = model_check(s, f)
+    def check_pair(p: GeneralizedPattern, f: FoFormula, t: Permutation) -> None:
+        witness = model_check(t, f)
         decided = match_dispatch(MatchRequest(p, t, Mode.DECIDE))
         agrees = witness == decided
         agreement.see(agrees, p, t)
@@ -341,9 +336,8 @@ def suite_fo(
             total = len(f.pos_literals) + len(f.neg_literals)
             literals.see(total == k * (k - 1) // 2 and total + len(f.adj_literals) <= k * k, p)
         for t in texts:
-            s = encode_structure(t)
             for p, f in zip(patterns, formulas):
-                check_pair(p, f, t, s)
+                check_pair(p, f, t)
 
     rng = random.Random(seed)
     for _ in range(samples):
@@ -351,7 +345,7 @@ def suite_fo(
         n = rng.randint(1, 12)
         p = random_pattern(rng, k)
         t = random_permutation(rng, n)
-        check_pair(p, encode_formula(p), t, encode_structure(t))
+        check_pair(p, encode_formula(p), t)
 
     return [
         agreement.result(
@@ -374,7 +368,7 @@ def suite_lis(samples: int = 500, max_n: int = 12, seed: int = 0) -> list[CheckR
     """Fast-path consistency: lis_length and the identity-pattern witness of
     match_dispatch against brute-force identity decisions."""
     rng = random.Random(seed)
-    fast_path = _Check("lis fast path", _lis_label)
+    fast_path = CheckResult("lis fast path", _lis_label)
     for _ in range(samples):
         n = rng.randint(1, max_n)
         t = random_permutation(rng, n)

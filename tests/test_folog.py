@@ -5,7 +5,6 @@ import pytest
 from permpat.core import ValidationError
 from permpat.folog import (
     FoFormula,
-    FoStructure,
     encode_formula,
     encode_structure,
     export_instance,
@@ -19,27 +18,35 @@ from permpat.verify import all_patterns, all_texts, random_pattern, random_permu
 T = parse_permutation("53142")
 
 
+def _relation_lines(t, kind):
+    """The (x, y) pairs of export_instance's lines of one kind, in order."""
+    out = export_instance(t, encode_formula(parse_pattern("1")))
+    return [tuple(map(int, ln.split()[1:])) for ln in out.splitlines() if ln.split()[0] == kind]
+
+
 def test_structure_relations_for_example_text():
-    s = encode_structure(T)
-    assert s.n == 5
-    pairs = s.text_less_pairs()
+    assert encode_structure(T) is T
+    assert export_instance(T, encode_formula(parse_pattern("1"))).startswith("fo 5 1\n")
+    pairs = _relation_lines(T, "tl")
     assert len(pairs) == 10
     assert set(pairs) == {
         (2, 1), (2, 4), (3, 1), (3, 2), (3, 4),
         (3, 5), (4, 1), (5, 1), (5, 2), (5, 4),
     }
-    assert s.succ_pairs() == ((1, 2), (2, 3), (3, 4), (4, 5))
+    assert pairs == sorted(pairs)
+    succ = _relation_lines(T, "s")
+    assert succ == [(1, 2), (2, 3), (3, 4), (4, 5)]
     assert (3, 1) in pairs and (1, 3) not in pairs
-    assert (1, 2) in s.succ_pairs() and (2, 1) not in s.succ_pairs()
+    assert (1, 2) in succ and (2, 1) not in succ
 
 
 def test_structure_trivial_cases():
-    one = encode_structure(parse_permutation("1"))
-    assert one.text_less_pairs() == ()
-    assert one.succ_pairs() == ()
-    two = encode_structure(parse_permutation("12"))
-    assert two.text_less_pairs() == ((1, 2),)
-    assert two.succ_pairs() == ((1, 2),)
+    one = parse_permutation("1")
+    assert _relation_lines(one, "tl") == []
+    assert _relation_lines(one, "s") == []
+    two = parse_permutation("12")
+    assert _relation_lines(two, "tl") == [(1, 2)]
+    assert _relation_lines(two, "s") == [(1, 2)]
 
 
 def test_formula_for_vincular_31_2():
@@ -68,16 +75,12 @@ def test_formula_literal_partition_enforced():
 
 
 def test_model_check_examples():
-    s = encode_structure(T)
     # the least of the four embeddings (1,2,4),(1,3,4),(1,3,5),(2,3,5)
-    assert model_check(s, encode_formula(parse_pattern("3 1 2"))) == (1, 2, 4)
-    assert model_check(s, encode_formula(parse_pattern("1 2 3"))) is None
-    assert model_check(
-        encode_structure(parse_permutation("1")), encode_formula(parse_pattern("1"))
-    ) == (1,)
-    assert model_check(
-        encode_structure(parse_permutation("1")), encode_formula(parse_pattern("1 2"))
-    ) is None
+    assert model_check(T, encode_formula(parse_pattern("3 1 2"))) == (1, 2, 4)
+    assert model_check(T, encode_formula(parse_pattern("1 2 3"))) is None
+    one = parse_permutation("1")
+    assert model_check(one, encode_formula(parse_pattern("1"))) == (1,)
+    assert model_check(one, encode_formula(parse_pattern("1 2"))) is None
 
 
 def test_model_check_agrees_with_bruteforce_witness():
@@ -85,7 +88,7 @@ def test_model_check_agrees_with_bruteforce_witness():
     for _ in range(150):
         p = random_pattern(rng, rng.randint(1, 4))
         t = random_permutation(rng, rng.randint(1, 8))
-        witness = model_check(encode_structure(t), encode_formula(p))
+        witness = model_check(t, encode_formula(p))
         found = match_bruteforce(MatchRequest(p, t, Mode.ENUMERATE_ALL))
         if found:
             assert witness == found[0]
@@ -98,7 +101,7 @@ def test_witnesses_are_valid_embeddings_exhaustively_small():
         for p in all_patterns(k):
             for n in range(1, 5):
                 for t in all_texts(n):
-                    witness = model_check(encode_structure(t), encode_formula(p))
+                    witness = model_check(t, encode_formula(p))
                     if witness is not None:
                         assert is_valid_embedding(p, t, witness)
 
@@ -113,13 +116,13 @@ def test_literal_count_identity():
 
 
 def test_export_smallest_case_is_byte_exact():
-    s = encode_structure(parse_permutation("12"))
+    t = parse_permutation("12")
     f = encode_formula(parse_pattern("1 2"))
-    assert export_instance(s, f) == "fo 2 2\ntl 1 2\ns 1 2\npos 1 2"
+    assert export_instance(t, f) == "fo 2 2\ntl 1 2\ns 1 2\npos 1 2"
 
 
 def test_export_line_counts_for_example_instance():
-    out = export_instance(encode_structure(T), encode_formula(parse_pattern("[3 1] 2")))
+    out = export_instance(T, encode_formula(parse_pattern("[3 1] 2")))
     lines = out.splitlines()
     assert lines[0] == "fo 5 3"
     kinds = [ln.split()[0] for ln in lines[1:]]
@@ -136,10 +139,10 @@ def test_export_parse_roundtrip():
     for _ in range(40):
         p = random_pattern(rng, rng.randint(1, 5))
         t = random_permutation(rng, rng.randint(1, 9))
-        s, f = encode_structure(t), encode_formula(p)
-        s2, f2 = parse_instance(export_instance(s, f))
-        assert (s2, f2) == (s, f)
-        assert export_instance(s2, f2) == export_instance(s, f)
+        f = encode_formula(p)
+        t2, f2 = parse_instance(export_instance(t, f))
+        assert (t2, f2) == (t, f)
+        assert export_instance(t2, f2) == export_instance(t, f)
 
 
 def test_parse_instance_rejects_garbage():
@@ -174,13 +177,37 @@ def test_parse_instance_rejects_non_ascii_digits():
 
 
 def test_k_larger_than_n_is_representable_and_false():
-    s = encode_structure(parse_permutation("1"))
+    t = parse_permutation("1")
     f = encode_formula(parse_pattern("1 2 3"))
-    out = export_instance(s, f)
-    s2, f2 = parse_instance(out)
-    assert model_check(s2, f2) is None
+    out = export_instance(t, f)
+    t2, f2 = parse_instance(out)
+    assert model_check(t2, f2) is None
 
 
 def test_structure_rejects_non_permutations():
-    with pytest.raises(ValidationError):
-        FoStructure((1, 1))
+    with pytest.raises(ParseError) as err:
+        parse_instance("fo 3 1\ntl 1 2\ntl 2 1\ntl 1 3\ns 1 2\ns 2 3")
+    assert str(err.value) == (
+        "text_less relation is not induced by a permutation: "
+        "permutation: duplicate 2 at position 2"
+    )
+
+
+def test_parse_instance_rejects_relations_not_induced_by_the_text():
+    # in-degrees give the permutation 123, but (3, 3) does not rise in value
+    with pytest.raises(ParseError) as err:
+        parse_instance("fo 3 1\ntl 1 2\ntl 1 3\ntl 3 3\ns 1 2\ns 2 3")
+    assert str(err.value) == "text_less relation is not induced by a permutation"
+    with pytest.raises(ParseError) as err:
+        parse_instance("fo 3 1\ntl 1 2\ntl 1 3\ntl 2 3\ns 1 2\ns 1 3")
+    assert str(err.value) == "succ relation must be exactly the 2 consecutive pairs"
+
+
+def test_parse_instance_counts_blank_lines_in_line_numbers():
+    with pytest.raises(ParseError, match="malformed 'tl' line") as err:
+        parse_instance("fo 2 2\n\ntl 1 x\ns 1 2\npos 1 2")
+    assert err.value.line == 3
+    assert str(err.value) == "malformed 'tl' line (line 3)"
+    with pytest.raises(ParseError, match="header") as err:
+        parse_instance("\n\nfo x 2")
+    assert err.value.line == 3

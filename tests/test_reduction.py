@@ -126,7 +126,7 @@ def test_reduce_sizes():
     trace = reduce(REFERENCE_GRAPH, 3)
     assert len(trace.stage3_pattern) == 19
     assert len(trace.stage3_text) == 40
-    assert trace.non_edge_count == 8
+    assert len(trace.stage1_text.bar) == 8
     trace = reduce(Graph(2, frozenset()), 2)
     assert len(trace.stage3_pattern) == 11
     trace = reduce(K3, 3)
