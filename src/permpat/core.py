@@ -33,7 +33,14 @@ class BudgetExceededError(RuntimeError):
 
 
 DEFAULT_BUDGET = 10**8
-"""Candidate count above which the exhaustive searches refuse to run."""
+"""Count above which the exhaustive searches and the builds of quadratic
+size refuse to run."""
+
+
+def _check_budget(count: int, what: str, budget: int = DEFAULT_BUDGET) -> None:
+    """The one up-front refusal: BudgetExceededError when count > budget."""
+    if count > budget:
+        raise BudgetExceededError(f"{what} = {count} exceeds budget {budget}")
 
 
 def _as_int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GeneralizedPattern, Permutation, ValidationError
+from .core import GeneralizedPattern, Permutation, ValidationError, _check_budget
 from .textio import ParseError, is_ascii_digits
 
 __all__ = [
@@ -138,10 +138,15 @@ def model_check(t: Permutation, f: FoFormula) -> tuple[int, ...] | None:
 
 def export_instance(t: Permutation, f: FoFormula) -> str:
     """Deterministic line format: "fo <n> <k>" then one line per relation
-    tuple and per literal.  parse_instance inverts this losslessly."""
+    tuple and per literal.  parse_instance inverts this losslessly.
+    Refuses, before building a line, an instance of more lines than the
+    budget."""
     values = t.values
     n = len(values)
-    lines = [f"fo {n} {f.var_count}"]
+    k = f.var_count
+    _check_budget(1 + n * (n - 1) // 2 + (n - 1) + k * (k - 1) // 2 + len(f.adj_literals),
+                  "fo instance lines")
+    lines = [f"fo {n} {k}"]
     lines.extend(
         f"tl {x} {y}"
         for x, vx in enumerate(values, start=1)

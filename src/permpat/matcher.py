@@ -39,11 +39,11 @@ from typing import Iterator, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     GeneralizedPattern,
     Permutation,
     ValidationError,
     _as_int_tuple,
+    _check_budget,
 )
 
 __all__ = [
@@ -301,11 +301,7 @@ def iter_embeddings(
     engine's C(n, k) candidates exceed the budget, ValueError for an engine
     not in ENGINES."""
     if engine == "brute":
-        candidates = math.comb(text.n, pattern.k)
-        if candidates > budget:
-            raise BudgetExceededError(
-                f"C({text.n}, {pattern.k}) = {candidates} exceeds budget {budget}"
-            )
+        _check_budget(math.comb(text.n, pattern.k), f"C({text.n}, {pattern.k})", budget)
         return _iter_bruteforce(pattern, text)
     if engine in ("auto", "backtrack"):
         return _iter_backtracking(pattern, text)

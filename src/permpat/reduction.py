@@ -36,13 +36,12 @@ from itertools import combinations
 from typing import Callable
 
 from .core import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
     GeneralizedPattern,
     Graph,
     MultisetHalves,
     Permutation,
     ValidationError,
+    _check_budget,
 )
 
 __all__ = [
@@ -110,10 +109,12 @@ def build_multiset_instance(g: Graph, k: int) -> tuple[MultisetHalves, MultisetH
     """Stage 1: vertex-list halves plus pair-encoding bar halves.
 
     The pattern bar carries every pair over 1..k; the text bar carries the
-    graph's non-edges.  Both are in lexicographic order.
+    graph's non-edges.  Both are in lexicographic order.  Refuses, before
+    building anything, a final text longer than the budget.
     """
     if not 1 <= k <= g.l:
         raise KRangeError(f"subset size k={k} outside 1..{g.l}")
+    _check_budget(2 * g.l + 3 * (g.l * (g.l - 1) // 2 - g.m) + 4, "|T|")
     pattern = MultisetHalves(
         dot=tuple(range(1, k + 1)),
         bar=tuple((i, j, i) for i, j in combinations(range(1, k + 1), 2)),
@@ -126,6 +127,8 @@ def build_multiset_instance(g: Graph, k: int) -> tuple[MultisetHalves, MultisetH
 
 
 def _bar_occurrence_keys(h: MultisetHalves) -> tuple[list[tuple[int, int]], Counter]:
+    if len(set(h.dot)) != len(h.dot):
+        raise ValidationError("dot half has repeated values; cannot deduplicate")
     counts: Counter = Counter()
     keys: list[tuple[int, int]] = []
     for block in h.bar:
@@ -143,8 +146,6 @@ def deduplicate(h: MultisetHalves) -> MultisetHalves:
     two.  Sorting all keys and replacing each by its 1-based rank yields
     halves whose combined values are exactly 1..N.
     """
-    if len(set(h.dot)) != len(h.dot):
-        raise ValidationError("dot half has repeated values; cannot deduplicate")
     bar_keys, counts = _bar_occurrence_keys(h)
     # low occurrence index 0, bar occurrences 1..m, high m+1
     dot_keys: list[tuple[int, int]] = []
@@ -172,8 +173,6 @@ def deduplicate_with_reals(
     """
     if assign is None:
         assign = lambda j, t, m: j + 0.9 * t / (m + 1)
-    if len(set(h.dot)) != len(h.dot):
-        raise ValidationError("dot half has repeated values; cannot deduplicate")
     _, counts = _bar_occurrence_keys(h)
     reals_dot: list[float] = []
     for j in h.dot:
@@ -241,15 +240,11 @@ def reduce(g: Graph, k: int) -> ReductionTrace:
     )
 
 
-def find_independent_set(
-    g: Graph, k: int, budget: int = DEFAULT_BUDGET
-) -> tuple[int, ...] | None:
+def find_independent_set(g: Graph, k: int) -> tuple[int, ...] | None:
     """First k-subset of vertices (lexicographic) spanning no edge, or None."""
     if k > g.l:
         return None
-    subsets = math.comb(g.l, k)
-    if subsets > budget:
-        raise BudgetExceededError(f"C({g.l}, {k}) = {subsets} exceeds budget {budget}")
+    _check_budget(math.comb(g.l, k), f"C({g.l}, {k})")
     edges = g.edges
     for subset in combinations(range(1, g.l + 1), k):
         for pair in combinations(subset, 2):
@@ -273,6 +268,7 @@ def simultaneous_multiset_witness(
     independent set of size k.
     """
     k = len(pattern.dot)
+    _check_budget(math.comb(len(text.dot), k), f"C({len(text.dot)}, {k})")
     text_blocks = set(text.bar)
     for chosen in combinations(text.dot, k):
         mu = dict(zip(pattern.dot, chosen))

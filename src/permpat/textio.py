@@ -157,8 +157,6 @@ def _parse_dash(text: str) -> GeneralizedPattern:
                              offset=_byte_offset(text, i))
     if saw_dash_at is not None:
         raise ParseError("empty group after dash", offset=_byte_offset(text, saw_dash_at))
-    if group_len == 0:
-        raise ParseError("empty input", offset=0)
     if group_len >= 2:
         blocks.append((len(values) - group_len + 1, len(values)))
     return GeneralizedPattern(tuple(values), tuple(blocks))

@@ -14,13 +14,7 @@ import random
 from itertools import combinations, permutations
 from typing import Callable, Iterator
 
-from .core import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    GeneralizedPattern,
-    Graph,
-    Permutation,
-)
+from .core import GeneralizedPattern, Graph, Permutation, _check_budget
 from .matcher import MatchRequest, Mode, is_valid_embedding, lis_length, match_dispatch
 from .folog import FoFormula, encode_formula, model_check
 from .reduction import (
@@ -149,13 +143,10 @@ def _exhaustive(
     """One group, built when reached, per value order of length ≤ max_k: its
     2^(k-1) patterns, classical first, and a lazy walk over the texts of length
     ≤ max_n.  Raises BudgetExceededError at the call, before building any, when
-    the pairs (Σ k!·2^(k-1) patterns × Σ n! texts) exceed DEFAULT_BUDGET."""
+    the pairs (Σ k!·2^(k-1) patterns × Σ n! texts) exceed the budget."""
     patterns = sum(math.factorial(k) << (k - 1) for k in range(1, max_k + 1))
     pairs = patterns * sum(map(math.factorial, range(1, max_n + 1)))
-    if pairs > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"{pairs} exhaustive (pattern, text) pairs exceed budget {DEFAULT_BUDGET}"
-        )
+    _check_budget(pairs, "exhaustive (pattern, text) pairs")
     return (
         ([GeneralizedPattern(values, cfg) for cfg in all_block_configs(k)],
          (t for n in range(1, max_n + 1) for t in all_texts(n)))
@@ -279,7 +270,7 @@ def suite_reduction(
             multiset_final.see(multiset == final, g, k)
             sizes.see(
                 len(trace.stage3_pattern) == 4 + (3 * k * k + k) // 2
-                and len(trace.stage3_text) == 2 * g.l + 3 * len(g.non_edges()) + 4,
+                and len(trace.stage3_text) == 2 * g.l + 3 * (g.l * (g.l - 1) // 2 - g.m) + 4,
                 g, k,
             )
             ranks.see(

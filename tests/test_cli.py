@@ -1,6 +1,7 @@
 import functools
 import itertools
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -129,7 +130,7 @@ def test_match_budget_exceeded_exits_4(capsys):
     code, _, err = run(capsys, "match", "-p", pattern, "-t", text,
                        "--engine", "brute", "--budget", "1000")
     assert code == 4
-    assert "budget" in err
+    assert err == "error: C(40, 10) = 847660528 exceeds budget 1000\n"
 
 
 def test_match_budget_env_var(capsys, monkeypatch):
@@ -417,6 +418,40 @@ def test_reduce_bad_graph_exits_3(capsys, tmp_path):
     assert "self-loop" in err
 
 
+def test_reduce_refuses_a_text_over_the_budget_before_building_it(capsys, monkeypatch,
+                                                                 tmp_path):
+    def not_before_the_budget_check(self):
+        raise AssertionError("walked the non-edges before the budget check")
+
+    monkeypatch.setattr(core.Graph, "non_edges", not_before_the_budget_check)
+    graph = tmp_path / "graph.txt"
+    graph.write_text("p 20000 0\nk 2\n")  # |T| = 2l + 3·l(l-1)/2 + 4
+    code, out, err = run(capsys, "reduce", str(graph), "-o", str(tmp_path / "out"), "--trace")
+    assert (code, out) == (4, "")
+    assert err == "error: |T| = 600010004 exceeds budget 100000000\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["graph.txt"]
+
+
+def _at_most_one_gib():
+    # a refusal that fails to fire then ends in MemoryError, within this process
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_encode_fo_refuses_an_instance_over_the_budget(tmp_path):
+    text = tmp_path / "text.txt"
+    text.write_text(" ".join(map(str, range(1, 14_144))))
+    out_file = tmp_path / "big.fo"
+    proc = subprocess.run(
+        [sys.executable, "-m", "permpat", "encode-fo", "-p", "1 2", "-t", f"@{text}",
+         "-o", str(out_file)],
+        capture_output=True, text=True, preexec_fn=_at_most_one_gib,
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    # 1 header + n(n-1)/2 text_less + (n-1) succ + k(k-1)/2 order literals
+    assert proc.stderr == "error: fo instance lines = 100019297 exceeds budget 100000000\n"
+    assert not out_file.exists()
+
+
 def test_encode_fo_writes_instance(capsys, tmp_path):
     out_file = tmp_path / "tiny.fo"
     code, _, _ = run(capsys, "encode-fo", "-p", "1 2", "-t", "12", "-o", str(out_file))
@@ -475,7 +510,7 @@ def test_verify_refuses_exhaustive_bounds_over_the_budget(capsys, monkeypatch,
     code, out, err = run(capsys, "verify", "--suite", suite, bound, value)
     assert code == 4
     assert out == ""
-    assert f"{pairs} exhaustive (pattern, text) pairs exceed budget" in err
+    assert f"exhaustive (pattern, text) pairs = {pairs} exceeds budget 100000000" in err
 
 
 def test_verify_deterministic_output(capsys):

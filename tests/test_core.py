@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permpat.core import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
     GeneralizedPattern,
     Graph,
     MultisetHalves,
     Permutation,
     ValidationError,
+    _check_budget,
 )
 from permpat.matcher import is_valid_embedding
 from permpat.verify import all_patterns
@@ -236,3 +239,13 @@ def test_constructor_accepts_exactly_bijections(values):
     else:
         with pytest.raises(ValidationError):
             Permutation(tuple(values))
+
+
+def test_the_budget_check_admits_the_budget_itself_and_refuses_one_more():
+    _check_budget(DEFAULT_BUDGET, "items")
+    _check_budget(5, "items", budget=5)
+    with pytest.raises(BudgetExceededError) as err:
+        _check_budget(6, "items", budget=5)
+    assert str(err.value) == "items = 6 exceeds budget 5"
+    with pytest.raises(BudgetExceededError, match="exceeds budget 100000000$"):
+        _check_budget(DEFAULT_BUDGET + 1, "items")

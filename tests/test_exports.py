@@ -92,3 +92,33 @@ def test_import_boundaries():
                           (BACKTRACK_SIDE, BRUTE_SIDE)):
         for name in side:
             assert not functions[name] & foreign, (name, functions[name] & foreign)
+
+
+def _raising_functions(tree: ast.Module, exception: str) -> list[str]:
+    """The innermost enclosing function of every ``raise exception(...)``,
+    or "<module>" for one at module level."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                raised = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(raised, "id", getattr(raised, "attr", None)) == exception:
+                    found.append(function)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_budget_refusal_goes_through_core_check_budget():
+    """One check words and bounds every up-front refusal."""
+    raising = [
+        (path.stem, function)
+        for path in sorted(Path(permpat.__file__).parent.glob("*.py"))
+        for function in _raising_functions(
+            ast.parse(path.read_text(encoding="utf-8")), "BudgetExceededError"
+        )
+    ]
+    assert raising == [("core", "_check_budget")]

@@ -167,6 +167,20 @@ def test_parse_instance_rejects_garbage():
             parse_instance(huge)
 
 
+def test_parse_instance_rejects_a_header_without_positions_or_variables():
+    for header in ("fo 0 1", "fo 1 0"):
+        with pytest.raises(ParseError) as err:
+            parse_instance(header)
+        assert str(err.value) == "the header's n and k must be positive (line 1)"
+
+
+def test_parse_instance_reports_a_literal_the_formula_rejects():
+    # right counts, but (2, 1) is no ordered pair: FoFormula's check, as a ParseError
+    with pytest.raises(ParseError) as err:
+        parse_instance("fo 2 2\ntl 1 2\ns 1 2\npos 2 1")
+    assert str(err.value) == "literal (2, 1) is not an ordered pair in 1..2"
+
+
 def test_parse_instance_rejects_non_ascii_digits():
     with pytest.raises(ParseError, match="malformed 'tl' line") as err:
         parse_instance("fo 2 2\ntl 1 ²\ns 1 2\npos 1 2")

@@ -1,10 +1,19 @@
 import dataclasses
+import inspect
 import random
 from itertools import combinations
 
 import pytest
 
-from permpat.core import GeneralizedPattern, Graph, MultisetHalves, ValidationError
+from permpat import reduction
+from permpat.core import (
+    BudgetExceededError,
+    GeneralizedPattern,
+    Graph,
+    MultisetHalves,
+    Permutation,
+    ValidationError,
+)
 from permpat.matcher import MatchRequest, Mode, match_dispatch
 from permpat.reduction import (
     KRangeError,
@@ -151,6 +160,39 @@ def test_independent_set_oracle_examples():
     assert find_independent_set(REFERENCE_GRAPH, 7) is None
 
 
+def test_independent_set_oracle_takes_no_budget_and_refuses_over_the_default():
+    assert list(inspect.signature(find_independent_set).parameters) == ["g", "k"]
+    with pytest.raises(BudgetExceededError) as err:
+        find_independent_set(Graph(40), 10)
+    assert str(err.value) == "C(40, 10) = 847660528 exceeds budget 100000000"
+
+
+def test_simultaneous_multiset_witness_refuses_before_walking_a_subset(monkeypatch):
+    def not_before_the_budget_check(*args):
+        raise AssertionError("walked subsets before the budget check")
+
+    monkeypatch.setattr(reduction, "combinations", not_before_the_budget_check)
+    pattern = MultisetHalves(tuple(range(1, 11)))
+    text = MultisetHalves(tuple(range(1, 41)))
+    with pytest.raises(BudgetExceededError) as err:
+        simultaneous_multiset_witness(pattern, text)
+    assert str(err.value) == "C(40, 10) = 847660528 exceeds budget 100000000"
+
+
+def test_stage1_refuses_a_text_over_the_budget_before_building_it(monkeypatch):
+    def not_before_the_budget_check(*args):
+        raise AssertionError("built a half before the budget check")
+
+    monkeypatch.setattr(Graph, "non_edges", not_before_the_budget_check)
+    monkeypatch.setattr(reduction, "combinations", not_before_the_budget_check)
+    with pytest.raises(BudgetExceededError) as err:
+        build_multiset_instance(Graph(20000), 2)
+    assert str(err.value) == "|T| = 600010004 exceeds budget 100000000"
+    # an edge removes one non-edge, three text values
+    with pytest.raises(BudgetExceededError, match=r"^\|T\| = 600010001 "):
+        build_multiset_instance(Graph(20000, frozenset({(1, 2)})), 2)
+
+
 def test_simultaneous_multiset_match_examples():
     pattern, text = build_multiset_instance(REFERENCE_GRAPH, 3)
     assert simultaneous_multiset_witness(pattern, text) == (2, 3, 5)
@@ -191,6 +233,31 @@ def test_trace_rejects_blocks_off_the_separator_and_triples_layout(blocks):
     moved = GeneralizedPattern(trace.stage3_pattern.values, blocks)
     with pytest.raises(ValidationError, match="separator"):
         dataclasses.replace(trace, stage3_pattern=moved)
+
+
+def test_trace_rejects_a_pattern_off_its_closed_form_length():
+    trace = reduce(REFERENCE_GRAPH, 3)
+    p = trace.stage3_pattern
+    longer = GeneralizedPattern(p.values + (p.k + 1,), p.blocks)
+    with pytest.raises(ValidationError, match=r"^pattern length 20 != 4 \+ \(3k\^2\+k\)/2 = 19$"):
+        dataclasses.replace(trace, stage3_pattern=longer)
+
+
+def test_trace_rejects_a_text_off_its_closed_form_length():
+    trace = reduce(REFERENCE_GRAPH, 3)
+    longer = Permutation(trace.stage3_text.values + (trace.stage3_text.n + 1,))
+    with pytest.raises(ValidationError, match=r"^text length 41 != 2l \+ 3\*non_edges \+ 4 = 40$"):
+        dataclasses.replace(trace, stage3_text=longer)
+
+
+def test_trace_rejects_a_text_over_the_edge_free_bound():
+    # l = 2 has one vertex pair; a stage-1 text claiming two non-edges
+    # passes the length identity with |T| = 14, over the bound 4 + (3l^2+l)/2 = 11
+    trace = reduce(Graph(2), 1)
+    two_non_edges = MultisetHalves((1, 2), ((1, 2, 1), (1, 2, 1)))
+    with pytest.raises(ValidationError, match=r"^text length 14 exceeds bound 11$"):
+        dataclasses.replace(trace, stage1_text=two_non_edges,
+                            stage3_text=Permutation(tuple(range(1, 15))))
 
 
 def test_format_trace_sections_and_roundtrip_of_stage3():

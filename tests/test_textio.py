@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -171,6 +172,22 @@ def test_dash_pattern_rejects_non_ascii_digits():
     with pytest.raises(ParseError, match="unexpected character") as err:
         parse_pattern("1-²")
     assert err.value.offset == 2
+
+
+def test_every_dash_input_has_a_value_or_a_dash_error():
+    # a dash either closes a non-empty group or raises, so the dash grammar
+    # never reaches its end with no values read
+    for length in range(1, 8):
+        for chars in itertools.product("12 -", repeat=length):
+            text = "".join(chars)
+            if "-" not in text:
+                continue
+            try:
+                assert parse_pattern(text).k >= 1
+            except ParseError as exc:
+                assert "dash" in str(exc), text
+            except ValidationError as exc:
+                assert "duplicate" in str(exc) or "out of range" in str(exc), text
 
 
 def test_graph_rejects_non_ascii_digits():
