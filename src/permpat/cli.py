@@ -16,6 +16,10 @@ through the PERMPAT_BUDGET environment variable.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later call; PERMPAT_BUDGET is read again on each call.
+A call whose first argument names a subcommand is parsed once, by that
+subcommand's parser.  The whole tree parses the call only when there is
+no such first argument or arguments are left over, so that the top-level
+parser reports those errors as before.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ import argparse
 import os
 import sys
 from functools import cache
+from itertools import islice
 
 from .core import DEFAULT_BUDGET, BudgetExceededError, ValidationError
-from .folog import encode_formula, export_instance, model_check
+from .folog import _instance_lines, encode_formula, model_check
 from .matcher import ENGINES, MatchRequest, Mode, iter_embeddings, match_dispatch
 from .reduction import KRangeError, format_trace, reduce
 from .textio import (
@@ -122,9 +127,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_encode_fo(args: argparse.Namespace) -> int:
     pattern = parse_pattern(_read_arg(args.pattern))
     text = parse_permutation(_read_arg(args.text))
-    payload = export_instance(text, encode_formula(pattern))
+    lines = _instance_lines(text, encode_formula(pattern))  # refuses before the file opens
     with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(payload + "\n")
+        # lines go out as they are made, a batch per write call: one call
+        # per line would cost more than making the line
+        while batch := list(islice(lines, 512)):
+            handle.write("\n".join(batch) + "\n")
     return EXIT_OK
 
 
@@ -162,6 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Generalized permutation pattern matching toolbox",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(commands=sub.choices)  # subcommand name -> its parser, for main
 
     p_match = sub.add_parser("match", help="decide/count/enumerate matchings")
     p_match.add_argument("-p", "--pattern", required=True,
@@ -206,7 +215,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the whole tree parses only to report what the subcommand's parser cannot
+    command = parser.get_default("commands").get(argv[0]) if argv else None
+    args, extra = command.parse_known_args(argv[1:]) if command else (None, None)
+    if args is None or extra:
+        args = parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here rather than at exit

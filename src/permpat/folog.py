@@ -11,11 +11,21 @@ chain x_1 < ... < x_k is implicit in the formula object and in the search.
 
 The model checker shares no code with the matching engines; agreement
 between the two is a meaningful consistency check, not a tautology.
+
+An instance's line format costs memory in proportion to its bytes, not to
+its line count, which for the text_less relation alone is n(n-1)/2: its
+lines are made one at a time (``permpat encode-fo`` writes each as it is
+made), and ``parse_instance`` reads its input a chunk at a time and keeps
+each text_less pair as two machine integers.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, MutableSequence
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, ge, mul
 
 from .core import GeneralizedPattern, Permutation, ValidationError, _check_budget
 from .textio import ParseError, is_ascii_digits
@@ -28,6 +38,9 @@ __all__ = [
     "export_instance",
     "parse_instance",
 ]
+
+_CHUNK = 1 << 13  # characters parse_instance splits into lines at a time
+_TYPECODE_MAX = (1 << 63) - 1  # the largest value of array typecode "q"
 
 
 @dataclass(frozen=True)
@@ -70,8 +83,11 @@ def encode_structure(t: Permutation) -> Permutation:
 
 
 def encode_formula(p: GeneralizedPattern) -> FoFormula:
+    """The formula of p.  Refuses, before building a literal, a pattern of
+    more order literals than the budget."""
     pv = p.values
     k = p.k
+    _check_budget(k * (k - 1) // 2, "fo order literals")
     pos = set()
     neg = set()
     for i in range(1, k + 1):
@@ -136,82 +152,131 @@ def model_check(t: Permutation, f: FoFormula) -> tuple[int, ...] | None:
     return None
 
 
-def export_instance(t: Permutation, f: FoFormula) -> str:
-    """Deterministic line format: "fo <n> <k>" then one line per relation
-    tuple and per literal.  parse_instance inverts this losslessly.
-    Refuses, before building a line, an instance of more lines than the
-    budget."""
+def _instance_lines(t: Permutation, f: FoFormula) -> Iterator[str]:
+    """The instance's lines, without line ends, each made when it is read.
+    Refuses at the call, before a line is made, an instance of more lines
+    than the budget."""
     values = t.values
     n = len(values)
     k = f.var_count
     _check_budget(1 + n * (n - 1) // 2 + (n - 1) + k * (k - 1) // 2 + len(f.adj_literals),
                   "fo instance lines")
-    lines = [f"fo {n} {k}"]
-    lines.extend(
-        f"tl {x} {y}"
-        for x, vx in enumerate(values, start=1)
-        for y, vy in enumerate(values, start=1)
-        if vx < vy
+    return chain(
+        (f"fo {n} {k}",),
+        (f"tl {x} {y}"
+         for x, vx in enumerate(values, start=1)
+         for y, vy in enumerate(values, start=1)
+         if vx < vy),
+        (f"s {x} {x + 1}" for x in range(1, n)),
+        (f"pos {i} {j}" for i, j in sorted(f.pos_literals)),
+        (f"neg {i} {j}" for i, j in sorted(f.neg_literals)),
+        (f"adj {i}" for i in sorted(f.adj_literals)),
     )
-    lines.extend(f"s {x} {x + 1}" for x in range(1, n))
-    lines.extend(f"pos {i} {j}" for i, j in sorted(f.pos_literals))
-    lines.extend(f"neg {i} {j}" for i, j in sorted(f.neg_literals))
-    lines.extend(f"adj {i}" for i in sorted(f.adj_literals))
-    return "\n".join(lines)
+
+
+def export_instance(t: Permutation, f: FoFormula) -> str:
+    """Deterministic line format: "fo <n> <k>" then one line per relation
+    tuple and per literal.  parse_instance inverts this losslessly.
+    Refuses, before building a line, an instance of more lines than the
+    budget."""
+    return "\n".join(_instance_lines(t, f))
+
+
+def _physical_lines(text: str, size: int = _CHUNK) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, each with its line end, split a
+    chunk of at least ``size`` characters at a time.  Each chunk's last line
+    is carried into the next, so a line or a CRLF that straddles a chunk
+    edge comes out whole; a chunk is as long as the line carried into it,
+    so a long line is copied O(1) times per character."""
+    carry = ""
+    start = 0
+    while start < len(text):
+        end = start + max(size, len(carry))
+        lines = (carry + text[start:end]).splitlines(True)
+        carry = lines.pop()
+        yield from lines
+        start = end
+    if carry:
+        yield carry
 
 
 def parse_instance(text: str) -> tuple[Permutation, FoFormula]:
     """Inverse of export_instance, with consistency checks on the relations.
-    Line numbers in errors count every physical line, blank ones included."""
+    Line numbers in errors count every physical line, blank ones included.
+    A repeated line is absorbed, as the relations are sets."""
     header: tuple[int, int] | None = None
-    tl: set[tuple[int, int]] = set()
+    # the text_less pairs within 1..n, 0-based, in file order; a header n
+    # too wide for the typecode keeps lists, which only an error reads
+    xs: MutableSequence[int] = array("q")
+    ys: MutableSequence[int] = array("q")
+    outside: tuple[int, int] | None = None  # the first pair outside 1..n
     succ: set[tuple[int, int]] = set()
     pos: set[tuple[int, int]] = set()
     neg: set[tuple[int, int]] = set()
     adj: set[int] = set()
-    kinds = {"tl": (tl, 2), "s": (succ, 2), "pos": (pos, 2), "neg": (neg, 2), "adj": (adj, 1)}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    kinds = {"s": (succ, 2), "pos": (pos, 2), "neg": (neg, 2), "adj": (adj, 1)}
+    for lineno, raw in enumerate(_physical_lines(text), start=1):
         fields = raw.split()
         if not fields:
             continue
         if header is None:
             if len(fields) != 3 or fields[0] != "fo" or not all(map(is_ascii_digits, fields[1:])):
                 raise ParseError("expected header 'fo <n> <k>'", line=lineno)
-            header = int(fields[1]), int(fields[2])
-            if header[0] < 1 or header[1] < 1:
+            header = n, k = int(fields[1]), int(fields[2])
+            if n < 1 or k < 1:
                 raise ParseError("the header's n and k must be positive", line=lineno)
+            if n > _TYPECODE_MAX:
+                xs, ys = [], []
             continue
-        if fields[0] not in kinds:
-            raise ParseError(f"unknown line kind {fields[0]!r}", line=lineno)
-        target, arity = kinds[fields[0]]
+        kind = fields[0]
+        if kind == "tl":
+            if len(fields) != 3 or not is_ascii_digits(fields[1] + fields[2]):
+                raise ParseError("malformed 'tl' line", line=lineno)
+            a, b = int(fields[1]), int(fields[2])
+            if 1 <= a <= n and 1 <= b <= n:
+                xs.append(a - 1)
+                ys.append(b - 1)
+            elif outside is None:
+                outside = a, b
+            continue
+        if kind not in kinds:
+            raise ParseError(f"unknown line kind {kind!r}", line=lineno)
+        target, arity = kinds[kind]
         args = fields[1:]
         if len(args) != arity or not all(map(is_ascii_digits, args)):
-            raise ParseError(f"malformed {fields[0]!r} line", line=lineno)
+            raise ParseError(f"malformed {kind!r} line", line=lineno)
         target.add(tuple(int(a) for a in args) if arity == 2 else int(args[0]))
     if header is None:
         raise ParseError("empty instance")
-    n, k = header
-    for a, b in tl:
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ParseError(f"text_less pair ({a}, {b}) outside positions 1..{n}")
-    # the header must agree with the body before it sizes anything
-    if len(tl) != n * (n - 1) // 2 or len(succ) != n - 1:
-        raise ParseError(f"a text of length {n} needs {n * (n - 1) // 2} text_less "
-                         f"and {n - 1} succ pairs, got {len(tl)} and {len(succ)}")
+    if outside is not None:
+        raise ParseError(f"text_less pair {outside} outside positions 1..{n}")
+    # the header must agree with the body before it sizes anything: the
+    # n x n marks are made only for at least n(n-1)/2 lines, so they take
+    # at most about twice the lines' count in bytes
+    need = n * (n - 1) // 2
+    if len(xs) < need:
+        distinct = len(set(zip(xs, ys)))
+    else:
+        seen = bytearray(n * n)  # seen[x * n + y]: the pair (x, y) occurs
+        for i in map(add, map(mul, xs, repeat(n)), ys):
+            seen[i] = 1
+        distinct = seen.count(1)
+    if distinct != need or len(succ) != n - 1:
+        raise ParseError(f"a text of length {n} needs {need} text_less "
+                         f"and {n - 1} succ pairs, got {distinct} and {len(succ)}")
     if len(pos) + len(neg) != k * (k - 1) // 2:
         raise ParseError(f"a formula over {k} variables needs {k * (k - 1) // 2} order "
                          f"literals, got {len(pos) + len(neg)}")
-    # the value at x is one more than the number of positions below it
-    values = [1] * n
-    for a, b in tl:
-        values[b - 1] += 1
+    # the value at y is one more than the number of distinct positions below it
+    values = [1 + seen[y::n].count(1) for y in range(n)]
     try:
         t = Permutation(tuple(values))
     except ValidationError as exc:
         raise ParseError(f"text_less relation is not induced by a permutation: {exc}")
     # n(n-1)/2 distinct in-range pairs that all rise in value are exactly the
     # pairs the permutation induces, so no rebuilt relation is needed
-    if any(values[a - 1] >= values[b - 1] for a, b in tl):
+    at = values.__getitem__
+    if any(map(ge, map(at, xs), map(at, ys))):
         raise ParseError("text_less relation is not induced by a permutation")
     if succ != {(x, x + 1) for x in range(1, n)}:
         raise ParseError(f"succ relation must be exactly the {n - 1} consecutive pairs")

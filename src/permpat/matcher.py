@@ -32,9 +32,9 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import combinations, compress
-from operator import lt
+from operator import and_, lt
 from typing import Iterator, Sequence
 
 from .core import (
@@ -161,7 +161,7 @@ def _factor_starts(order: tuple[int, ...], tv: tuple[int, ...]) -> list[int]:
         return []
     # one comparison stream per pair of value-consecutive block offsets
     rises = [map(lt, tv[x:x + m], tv[y:y + m]) for x, y in zip(order, order[1:])]
-    return list(compress(range(m), map(all, zip(*rises))))
+    return list(compress(range(m), reduce(partial(map, and_), rises)))
 
 
 # room for one exhaustive verify group, whose patterns cycle for each text:
@@ -177,15 +177,18 @@ def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
     * windows: per unit, its window tests as (offset, below, above).  A
       block skips neighbours inside itself, since order-isomorphism of its
       start already implies them;
-    * orders: per unit, its offsets sorted by value; () for a singleton.
+    * orders: per unit, its offsets sorted by value; () for a singleton.  A
+      block whose order an earlier block already has holds that block's
+      unit index instead, so blocks of one shape share one scan of the text.
     """
     pv = pattern.values
     k = len(pv)
     units = pattern.units
     below, above = _value_neighbours(pv)
     windows = []
-    orders = []
-    for p, length in units:
+    orders: list[tuple[int, ...] | int] = []
+    first: dict[tuple[int, ...], int] = {}  # block order -> the first unit with it
+    for u, (p, length) in enumerate(units):
         tests = []
         for d in range(length):
             lo = k if p <= below[p + d] < p + length else below[p + d]
@@ -193,18 +196,29 @@ def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
             if lo != k or hi != k + 1:
                 tests.append((d, lo, hi))
         windows.append(tuple(tests))
-        block = sorted(range(length), key=lambda d: pv[p + d]) if length > 1 else ()
-        orders.append(tuple(block))
+        order = tuple(sorted(range(length), key=lambda d: pv[p + d])) if length > 1 else ()
+        if order in first:
+            orders.append(first[order])
+        else:
+            if order:
+                first[order] = u
+            orders.append(order)
     return units, tuple(below), tuple(above), tuple(windows), tuple(orders)
 
 
 def _candidate_starts(
-    orders: tuple[tuple[int, ...], ...], tv: tuple[int, ...]
+    orders: tuple[tuple[int, ...] | int, ...], tv: tuple[int, ...]
 ) -> list[Sequence[int]]:
     """Per placement unit, the sorted 0-based text starts it may take: every
     position for a singleton (empty order), the order-isomorphic factors
-    for a block."""
-    return [_factor_starts(order, tv) if order else range(len(tv)) for order in orders]
+    for a block, shared with the earlier unit an order names."""
+    starts: list[Sequence[int]] = []
+    for order in orders:
+        if type(order) is int:
+            starts.append(starts[order])
+        else:
+            starts.append(_factor_starts(order, tv) if order else range(len(tv)))
+    return starts
 
 
 def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterator[tuple[int, ...]]:

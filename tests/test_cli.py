@@ -1,3 +1,4 @@
+import argparse
 import functools
 import itertools
 import os
@@ -179,6 +180,55 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
     assert run(capsys, "match", "-p", "[3 1] 2", "-t", "53142")[:2] == (0, "MATCH (1,2,4)\n")
     assert run(capsys, "verify", "--suite", "lis", "--samples", "2")[0] == 0
     assert len(built) == 5
+
+
+def _whole_tree(argv):
+    """What main did before it parsed with the subcommand's parser alone:
+    the whole tree parses every call."""
+    args = cli._build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["bogus", "-p", "1"],
+    ["match", "-h"],
+    ["match", "-p", "1 2"],
+    ["match", "-p", "1", "-t", "1", "--engine", "bogus"],
+    ["match", "-p", "[3 1] 2", "-t", "53142", "--eng", "brute"],
+    ["match", "-p", "1", "-t", "1", "--bogus"],
+    ["match", "-p", "1", "-t", "1", "stray"],
+    ["reduce", "graph.txt"],
+], ids=["empty", "help", "unknown", "match-help", "no-text", "bad-engine", "abbreviated",
+        "extra-option", "stray", "reduce-no-output"])
+def test_main_answers_as_the_whole_parser_tree_does(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    outcomes = []
+    for call in (main, _whole_tree):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_a_subcommand_call_is_parsed_once(capsys, monkeypatch):
+    parser = cli._build_parser()
+    whole = []
+
+    def counted(argv=None, namespace=None):
+        whole.append(argv)
+        return argparse.ArgumentParser.parse_args(parser, argv, namespace)
+
+    monkeypatch.setattr(parser, "parse_args", counted)
+    assert run(capsys, "match", "-p", "[3 1] 2", "-t", "53142")[:2] == (0, "MATCH (1,2,4)\n")
+    assert whole == []
+    with pytest.raises(SystemExit):
+        main(["match", "-p", "1", "-t", "1", "--bogus"])
+    assert whole == [["match", "-p", "1", "-t", "1", "--bogus"]]
+    assert "permpat: error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_an_explicit_budget_wins_over_a_malformed_env_var(capsys, monkeypatch):
@@ -449,6 +499,23 @@ def test_encode_fo_refuses_an_instance_over_the_budget(tmp_path):
     assert (proc.returncode, proc.stdout) == (4, "")
     # 1 header + n(n-1)/2 text_less + (n-1) succ + k(k-1)/2 order literals
     assert proc.stderr == "error: fo instance lines = 100019297 exceeds budget 100000000\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", [["encode-fo"], ["match", "--engine", "fo"]],
+                         ids=["encode-fo", "match"])
+def test_fo_refuses_order_literals_over_the_budget(tmp_path, command):
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(" ".join(map(str, range(1, 14_144))))
+    out_file = tmp_path / "big.fo"
+    argv = [*command, "-p", f"@{pattern}", "-t", "1"]
+    if command[0] == "encode-fo":
+        argv += ["-o", str(out_file)]
+    proc = subprocess.run([sys.executable, "-m", "permpat", *argv],
+                          capture_output=True, text=True, preexec_fn=_at_most_one_gib)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    # k(k-1)/2 literals, counted before the first is built
+    assert proc.stderr == "error: fo order literals = 100005153 exceeds budget 100000000\n"
     assert not out_file.exists()
 
 

@@ -1,8 +1,14 @@
+import functools
+import json
+import os
 import random
+import tracemalloc
 
+import fo_corpus
 import pytest
 
-from permpat.core import ValidationError
+from permpat import cli, folog
+from permpat.core import BudgetExceededError, GeneralizedPattern, Permutation, ValidationError
 from permpat.folog import (
     FoFormula,
     encode_formula,
@@ -12,7 +18,7 @@ from permpat.folog import (
     parse_instance,
 )
 from permpat.matcher import MatchRequest, Mode, is_valid_embedding, match_bruteforce
-from permpat.textio import ParseError, parse_pattern, parse_permutation
+from permpat.textio import ParseError, parse_pattern, parse_permutation, serialize_permutation
 from permpat.verify import all_patterns, all_texts, random_pattern, random_permutation
 
 T = parse_permutation("53142")
@@ -225,3 +231,118 @@ def test_parse_instance_counts_blank_lines_in_line_numbers():
     with pytest.raises(ParseError, match="header") as err:
         parse_instance("\n\nfo x 2")
     assert err.value.line == 3
+
+
+def test_the_chunked_line_walk_equals_splitlines():
+    rng = random.Random(18)
+    alphabet = ["a", "1", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+                "\x1e", "\x85", " ", " "]
+    for _ in range(400):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+        for size in range(1, 9):
+            assert list(folog._physical_lines(text, size)) == text.splitlines(True), (text, size)
+    # lines, and a CRLF, across the default chunk edge
+    edge = folog._CHUNK
+    for text in ("x" * (edge - 1) + "\r\n" + "y" * 3,
+                 "x" * (2 * edge + 5) + "\n\n",
+                 ("tl 1 2\r\n" * edge)[:3 * edge + 1]):
+        assert list(folog._physical_lines(text)) == text.splitlines(True)
+
+
+def _corpus():
+    path = os.path.join(os.path.dirname(__file__), "fo_parse_corpus.json")
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _first_pair_outside(text, n):
+    for line in text.splitlines():
+        fields = line.split()
+        if fields[:1] == ["tl"] and not all(1 <= int(v) <= n for v in fields[1:]):
+            return tuple(map(int, fields[1:]))
+    raise AssertionError("no text_less pair outside 1..n")
+
+
+@pytest.mark.parametrize("size", [folog._CHUNK, 1, 5])
+def test_parse_outcomes_equal_the_golden_corpus(monkeypatch, size):
+    monkeypatch.setattr(folog, "_physical_lines", functools.partial(folog._physical_lines,
+                                                                    size=size))
+    renamed = 0
+    for text, want in _corpus():
+        got = fo_corpus.outcome(text)
+        if got != want and want[1].startswith("text_less pair ("):
+            # several pairs outside 1..n: the first in file order is named,
+            # where the set-based parser named the first it happened to hash
+            n = int(want[1].rsplit("..", 1)[1])
+            assert got == [want[0], f"text_less pair {_first_pair_outside(text, n)} "
+                                    f"outside positions 1..{n}"]
+            renamed += 1
+            continue
+        assert got == want, text
+    assert renamed < 40
+
+
+def test_parse_instance_absorbs_repeated_lines():
+    t, f = parse_permutation("312"), encode_formula(parse_pattern("[2 1]"))
+    lines = export_instance(t, f).split("\n")
+    for i in range(1, len(lines)):
+        assert parse_instance("\n".join(lines + [lines[i]])) == (t, f)
+
+
+def test_parse_instance_names_the_first_pair_outside_in_file_order():
+    with pytest.raises(ParseError) as err:
+        parse_instance("fo 2 1\ntl 1 2\ntl 7 1\ntl 1 5\ns 1 2")
+    assert str(err.value) == "text_less pair (7, 1) outside positions 1..2"
+
+
+def test_parse_instance_takes_a_header_past_every_machine_integer():
+    n = 10**20
+    with pytest.raises(ParseError) as err:
+        parse_instance(f"fo {n} 1\ntl {n - 1} {n}\ntl {n - 1} {n}\ntl 1 2")
+    assert str(err.value) == (f"a text of length {n} needs {n * (n - 1) // 2} text_less "
+                              f"and {n - 1} succ pairs, got 2 and 0")
+
+
+def _shuffled_text(n):
+    values = list(range(1, n + 1))
+    random.Random(n).shuffle(values)
+    return parse_permutation(" ".join(map(str, values)))
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_instance_keeps_memory_in_proportion_to_its_input():
+    text = export_instance(_shuffled_text(200), encode_formula(parse_pattern("[3 1] 2 4")))
+    parse_instance(text)  # the first call imports and caches what it needs
+    assert _traced_peak(lambda: parse_instance(text)) < 4 * len(text)
+
+
+def test_encode_fo_streams_its_lines(capsys, tmp_path):
+    t, pattern = _shuffled_text(200), "[3 1] 2 4"
+    out_file = tmp_path / "big.fo"
+    argv = ["encode-fo", "-p", pattern, "-t", serialize_permutation(t), "-o", str(out_file)]
+    assert cli.main(argv) == 0  # the first call builds the parser
+    peak = _traced_peak(lambda: cli.main(argv))
+    written = out_file.read_text(encoding="utf-8")
+    assert written == export_instance(t, encode_formula(parse_pattern(pattern))) + "\n"
+    assert peak < len(written) / 2
+
+
+def test_instance_lines_refuse_over_the_budget_at_the_call():
+    t = Permutation(tuple(range(1, 14_144)))
+    with pytest.raises(BudgetExceededError, match="fo instance lines = 100019297 "):
+        folog._instance_lines(t, encode_formula(parse_pattern("1 2")))
+
+
+def test_encode_formula_refuses_order_literals_over_the_budget():
+    p = GeneralizedPattern(tuple(range(1, 14_144)), ())
+    with pytest.raises(BudgetExceededError) as err:
+        encode_formula(p)
+    assert str(err.value) == "fo order literals = 100005153 exceeds budget 100000000"

@@ -303,6 +303,34 @@ def test_block_candidate_starts_are_the_order_isomorphic_factors():
             assert list(found) == [e[0] - 1 for e in hits]
 
 
+def test_blocks_of_one_shape_share_one_factor_scan(monkeypatch):
+    scanned = []
+    factor_starts = matcher._factor_starts
+
+    def counted(order, tv):
+        scanned.append(order)
+        return factor_starts(order, tv)
+
+    monkeypatch.setattr(matcher, "_factor_starts", counted)
+    rng = random.Random(18)
+    for l, k in ((4, 2), (6, 3), (7, 4)):
+        edges = frozenset(e for e in combinations(range(1, l + 1), 2) if rng.random() < 0.4)
+        g = Graph(l, edges)
+        trace = reduce(g, k)
+        p, t = trace.stage3_pattern, trace.stage3_text
+        assert len(p.blocks) == 1 + k * (k - 1) // 2
+        scanned.clear()
+        found = next(matcher.iter_embeddings(p, t), None)
+        assert scanned == [(2, 1, 0, 3), (0, 2, 1)]  # the separator, then every triple
+        assert (found is None) == (find_independent_set(g, k) is None)
+        assert found is None or is_valid_embedding(p, t, found)
+    # blocks of distinct shapes: one scan each, in block order
+    scanned.clear()
+    p, t = parse_pattern("[1 2] 5 [4 3] [6 8 7]"), parse_permutation("2 1 4 3 5 8 6 7 9")
+    assert list(matcher.iter_embeddings(p, t)) == list(matcher.iter_embeddings(p, t, "brute"))
+    assert scanned == [(0, 1), (1, 0), (0, 2, 1)]
+
+
 def test_unit_without_a_feasible_start_ends_the_search():
     # [3 2] can only start at position 1 of 2 1 3 4, leaving no room before it
     p = parse_pattern("1 [3 2]")
