@@ -36,7 +36,7 @@ from .matcher import ENGINES, MatchRequest, Mode, iter_embeddings, match_dispatc
 from .reduction import KRangeError, format_trace, reduce
 from .textio import (
     ParseError,
-    is_ascii_digits,
+    are_int_tokens,
     parse_graph,
     parse_pattern,
     parse_permutation,
@@ -70,7 +70,7 @@ class _FromEnv(str):
 def _budget(text: str) -> int:
     if isinstance(text, _FromEnv):
         text = os.environ.get("PERMPAT_BUDGET") or str(DEFAULT_BUDGET)
-    if not is_ascii_digits(text):
+    if not are_int_tokens(text):
         raise argparse.ArgumentTypeError(
             f"budget must be a non-negative integer, got {text!r} "
             "(from --budget or PERMPAT_BUDGET)"

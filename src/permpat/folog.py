@@ -15,20 +15,20 @@ between the two is a meaningful consistency check, not a tautology.
 An instance's line format costs memory in proportion to its bytes, not to
 its line count, which for the text_less relation alone is n(n-1)/2: its
 lines are made one at a time (``permpat encode-fo`` writes each as it is
-made), and ``parse_instance`` reads its input a chunk at a time and keeps
-each text_less pair as two machine integers.
+made), and ``parse_instance`` reads its input a chunk at a time and marks
+each text_less pair in one table of n x n bytes, which it makes only when
+n^2 is at most the input's length, as it is for every instance that has
+its n(n-1)/2 text_less lines.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Iterator, MutableSequence
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add, ge, mul
+from itertools import chain, compress
 
 from .core import GeneralizedPattern, Permutation, ValidationError, _check_budget
-from .textio import ParseError, is_ascii_digits
+from .textio import ParseError, are_int_tokens
 
 __all__ = [
     "FoFormula",
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 13  # characters parse_instance splits into lines at a time
-_TYPECODE_MAX = (1 << 63) - 1  # the largest value of array typecode "q"
 
 
 @dataclass(frozen=True)
@@ -60,13 +59,14 @@ class FoFormula:
         pos = frozenset(tuple(p) for p in self.pos_literals)
         neg = frozenset(tuple(p) for p in self.neg_literals)
         adj = frozenset(self.adj_literals)
-        all_pairs = {(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)}
         for i, j in pos | neg:
             if not (1 <= i < j <= k):
                 raise ValidationError(f"literal ({i}, {j}) is not an ordered pair in 1..{k}")
         if pos & neg:
             raise ValidationError("a pair occurs as both a positive and a negative literal")
-        if pos | neg != all_pairs:
+        # disjoint ordered pairs in 1..k cover them all exactly when they
+        # are as many
+        if len(pos) + len(neg) != k * (k - 1) // 2:
             raise ValidationError("literals must cover every position pair exactly once")
         for i in adj:
             if not 1 <= i <= k - 1:
@@ -205,10 +205,13 @@ def parse_instance(text: str) -> tuple[Permutation, FoFormula]:
     Line numbers in errors count every physical line, blank ones included.
     A repeated line is absorbed, as the relations are sets."""
     header: tuple[int, int] | None = None
-    # the text_less pairs within 1..n, 0-based, in file order; a header n
-    # too wide for the typecode keeps lists, which only an error reads
-    xs: MutableSequence[int] = array("q")
-    ys: MutableSequence[int] = array("q")
+    # marks[x * n + y] is set when the text_less pair (x + 1, y + 1) occurs:
+    # a table of n x n bytes when n^2 <= len(text), which holds for every
+    # instance that passes the count check, as its header and n(n-1)/2 tl
+    # lines take at least 6 characters and a line break each.  Otherwise a
+    # dict of the pairs read, at most one per line, for the count check's
+    # message.
+    marks: bytearray | dict[int, int] = {}
     outside: tuple[int, int] | None = None  # the first pair outside 1..n
     succ: set[tuple[int, int]] = set()
     pos: set[tuple[int, int]] = set()
@@ -220,22 +223,21 @@ def parse_instance(text: str) -> tuple[Permutation, FoFormula]:
         if not fields:
             continue
         if header is None:
-            if len(fields) != 3 or fields[0] != "fo" or not all(map(is_ascii_digits, fields[1:])):
+            if len(fields) != 3 or fields[0] != "fo" or not are_int_tokens(*fields[1:]):
                 raise ParseError("expected header 'fo <n> <k>'", line=lineno)
             header = n, k = int(fields[1]), int(fields[2])
             if n < 1 or k < 1:
                 raise ParseError("the header's n and k must be positive", line=lineno)
-            if n > _TYPECODE_MAX:
-                xs, ys = [], []
+            if n * n <= len(text):
+                marks = bytearray(n * n)
             continue
         kind = fields[0]
         if kind == "tl":
-            if len(fields) != 3 or not is_ascii_digits(fields[1] + fields[2]):
+            if len(fields) != 3 or not are_int_tokens(fields[1], fields[2]):
                 raise ParseError("malformed 'tl' line", line=lineno)
             a, b = int(fields[1]), int(fields[2])
             if 1 <= a <= n and 1 <= b <= n:
-                xs.append(a - 1)
-                ys.append(b - 1)
+                marks[(a - 1) * n + b - 1] = 1
             elif outside is None:
                 outside = a, b
             continue
@@ -243,24 +245,15 @@ def parse_instance(text: str) -> tuple[Permutation, FoFormula]:
             raise ParseError(f"unknown line kind {kind!r}", line=lineno)
         target, arity = kinds[kind]
         args = fields[1:]
-        if len(args) != arity or not all(map(is_ascii_digits, args)):
+        if len(args) != arity or not are_int_tokens(*args):
             raise ParseError(f"malformed {kind!r} line", line=lineno)
         target.add(tuple(int(a) for a in args) if arity == 2 else int(args[0]))
     if header is None:
         raise ParseError("empty instance")
     if outside is not None:
         raise ParseError(f"text_less pair {outside} outside positions 1..{n}")
-    # the header must agree with the body before it sizes anything: the
-    # n x n marks are made only for at least n(n-1)/2 lines, so they take
-    # at most about twice the lines' count in bytes
     need = n * (n - 1) // 2
-    if len(xs) < need:
-        distinct = len(set(zip(xs, ys)))
-    else:
-        seen = bytearray(n * n)  # seen[x * n + y]: the pair (x, y) occurs
-        for i in map(add, map(mul, xs, repeat(n)), ys):
-            seen[i] = 1
-        distinct = seen.count(1)
+    distinct = len(marks) if isinstance(marks, dict) else marks.count(1)
     if distinct != need or len(succ) != n - 1:
         raise ParseError(f"a text of length {n} needs {need} text_less "
                          f"and {n - 1} succ pairs, got {distinct} and {len(succ)}")
@@ -268,16 +261,16 @@ def parse_instance(text: str) -> tuple[Permutation, FoFormula]:
         raise ParseError(f"a formula over {k} variables needs {k * (k - 1) // 2} order "
                          f"literals, got {len(pos) + len(neg)}")
     # the value at y is one more than the number of distinct positions below it
-    values = [1 + seen[y::n].count(1) for y in range(n)]
+    values = [1 + marks[y::n].count(1) for y in range(n)]
     try:
         t = Permutation(tuple(values))
     except ValidationError as exc:
         raise ParseError(f"text_less relation is not induced by a permutation: {exc}")
     # n(n-1)/2 distinct in-range pairs that all rise in value are exactly the
     # pairs the permutation induces, so no rebuilt relation is needed
-    at = values.__getitem__
-    if any(map(ge, map(at, xs), map(at, ys))):
-        raise ParseError("text_less relation is not induced by a permutation")
+    for x, vx in enumerate(values):
+        if min(compress(values, marks[x * n:x * n + n]), default=n + 1) <= vx:
+            raise ParseError("text_less relation is not induced by a permutation")
     if succ != {(x, x + 1) for x in range(1, n)}:
         raise ParseError(f"succ relation must be exactly the {n - 1} consecutive pairs")
     try:

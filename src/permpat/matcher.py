@@ -177,18 +177,15 @@ def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
     * windows: per unit, its window tests as (offset, below, above).  A
       block skips neighbours inside itself, since order-isomorphism of its
       start already implies them;
-    * orders: per unit, its offsets sorted by value; () for a singleton.  A
-      block whose order an earlier block already has holds that block's
-      unit index instead, so blocks of one shape share one scan of the text.
+    * orders: per unit, its offsets sorted by value; () for a singleton.
     """
     pv = pattern.values
     k = len(pv)
     units = pattern.units
     below, above = _value_neighbours(pv)
     windows = []
-    orders: list[tuple[int, ...] | int] = []
-    first: dict[tuple[int, ...], int] = {}  # block order -> the first unit with it
-    for u, (p, length) in enumerate(units):
+    orders = []
+    for p, length in units:
         tests = []
         for d in range(length):
             lo = k if p <= below[p + d] < p + length else below[p + d]
@@ -196,29 +193,20 @@ def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
             if lo != k or hi != k + 1:
                 tests.append((d, lo, hi))
         windows.append(tuple(tests))
-        order = tuple(sorted(range(length), key=lambda d: pv[p + d])) if length > 1 else ()
-        if order in first:
-            orders.append(first[order])
-        else:
-            if order:
-                first[order] = u
-            orders.append(order)
+        orders.append(tuple(sorted(range(length), key=lambda d: pv[p + d]))
+                      if length > 1 else ())
     return units, tuple(below), tuple(above), tuple(windows), tuple(orders)
 
 
 def _candidate_starts(
-    orders: tuple[tuple[int, ...] | int, ...], tv: tuple[int, ...]
+    orders: tuple[tuple[int, ...], ...], tv: tuple[int, ...]
 ) -> list[Sequence[int]]:
     """Per placement unit, the sorted 0-based text starts it may take: every
     position for a singleton (empty order), the order-isomorphic factors
-    for a block, shared with the earlier unit an order names."""
-    starts: list[Sequence[int]] = []
-    for order in orders:
-        if type(order) is int:
-            starts.append(starts[order])
-        else:
-            starts.append(_factor_starts(order, tv) if order else range(len(tv)))
-    return starts
+    for a block.  Blocks of one order share one scan of the text, made in
+    the order of their first blocks."""
+    scans = {order: _factor_starts(order, tv) for order in dict.fromkeys(orders) if order}
+    return [scans[order] if order else range(len(tv)) for order in orders]
 
 
 def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterator[tuple[int, ...]]:

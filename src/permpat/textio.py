@@ -2,7 +2,8 @@
 
 Permutations are whitespace- or comma-separated positive integers
 ("5 3 1 4 2"); a single unseparated run of digits is read one value per
-digit ("53142").  Every grammar takes ASCII digits only.
+digit ("53142").  Every grammar takes ASCII digits only, and no integer of
+more digits than int() reads (sys.get_int_max_str_digits()).
 
 Patterns come in two syntaxes.  Bracket syntax, the canonical output form,
 separates integer tokens with whitespace and encloses each adjacency block
@@ -20,6 +21,7 @@ are ignored; LF and CRLF both work.
 from __future__ import annotations
 
 import re
+import sys
 
 from .core import Graph, GeneralizedPattern, Permutation
 
@@ -37,6 +39,9 @@ _OPEN = "[⟨"   # '[' or U+27E8 mathematical left angle bracket
 _CLOSE = "]⟩"
 
 _TOKEN_RE = re.compile(r"[^\s,]+")
+_DIGITS_RE = re.compile(r"[0-9]+")
+# int()'s digit limit; 0, no limit, on a Python older than the limit (3.10.7)
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 class ParseError(ValueError):
@@ -52,10 +57,15 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-def is_ascii_digits(text: str) -> bool:
-    """True iff text is a non-empty run of ASCII digits.  str.isdigit() alone
-    also accepts characters such as '²', on which int() then fails."""
-    return text.isascii() and text.isdigit()
+def are_int_tokens(*tokens: str) -> bool:
+    """True iff every token is an integer token: 1 to
+    sys.get_int_max_str_digits() ASCII digits, where 0 means no limit, so
+    int() reads it.  str.isdigit() alone also accepts characters such as
+    '²', on which int() then fails, as it does on a longer run."""
+    joined = "".join(tokens)
+    limit = _int_max_str_digits() or len(joined)
+    return (joined.isascii() and joined.isdigit() and all(tokens)
+            and (len(joined) <= limit or max(map(len, tokens)) <= limit))
 
 
 def _byte_offset(text: str, char_index: int) -> int:
@@ -70,14 +80,14 @@ def _int_tokens(text: str) -> list[int]:
     words = text.replace(",", " ").split()
     if not words:
         raise ParseError("empty input", offset=0)
-    if not is_ascii_digits("".join(words)):  # every word is non-empty
-        bad = next(m for m in _TOKEN_RE.finditer(text) if not is_ascii_digits(m.group()))
+    if len(words) == 1 and _DIGITS_RE.fullmatch(words[0]):  # one value per digit
+        return [int(c) for c in words[0]]
+    if not are_int_tokens(*words):
+        bad = next(m for m in _TOKEN_RE.finditer(text) if not are_int_tokens(m.group()))
         raise ParseError(
             f"expected an integer, got {bad.group()!r}",
             offset=_byte_offset(text, bad.start()),
         )
-    if len(words) == 1 and len(words[0]) > 1:
-        return [int(c) for c in words[0]]
     return list(map(int, words))
 
 
@@ -118,12 +128,13 @@ def _parse_bracket(text: str) -> GeneralizedPattern:
             blocks.append((open_start, len(values)))
             open_start = None
             i += 1
-        elif is_ascii_digits(c):
-            j = i
-            while j < n and is_ascii_digits(text[j]):
-                j += 1
-            values.append(int(text[i:j]))
-            i = j
+        elif digits := _DIGITS_RE.match(text, i):
+            token = digits.group()
+            if not are_int_tokens(token):
+                raise ParseError(f"expected an integer, got {token!r}",
+                                 offset=_byte_offset(text, i))
+            values.append(int(token))
+            i = digits.end()
         else:
             raise ParseError(f"unexpected character {c!r} in bracket syntax",
                              offset=_byte_offset(text, i))
@@ -141,7 +152,7 @@ def _parse_dash(text: str) -> GeneralizedPattern:
     for i, c in enumerate(text):
         if c.isspace():
             continue
-        if is_ascii_digits(c):
+        if are_int_tokens(c):
             values.append(int(c))
             group_len += 1
             saw_dash_at = None
@@ -194,12 +205,10 @@ def serialize_permutation(t: Permutation) -> str:
 
 
 def _int_fields(fields: list[str], lineno: int, what: str) -> list[int]:
-    out = []
-    for f in fields:
-        if not is_ascii_digits(f):
-            raise ParseError(f"{what}: expected an integer, got {f!r}", line=lineno)
-        out.append(int(f))
-    return out
+    if not are_int_tokens(*fields):
+        bad = next(f for f in fields if not are_int_tokens(f))
+        raise ParseError(f"{what}: expected an integer, got {bad!r}", line=lineno)
+    return list(map(int, fields))
 
 
 def parse_graph(text: str) -> tuple[Graph, int | None]:

@@ -125,6 +125,24 @@ def test_non_ascii_digits_exit_3(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("argv, graph", [
+    (["match", "-p", "1 2", "-t", "1 {huge}"], None),
+    (["match", "-p", "[1 {huge}]", "-t", "1 2"], None),
+    (["reduce", "{graph}", "-k", "1", "-o", "{out}"], "p {huge} 0\n"),
+    (["reduce", "{graph}", "-k", "1", "-o", "{out}"], "p 2 1\n1 {huge}\n"),
+], ids=["text", "pattern", "graph-header", "graph-edge"])
+def test_an_integer_past_the_digit_limit_exits_3(capsys, tmp_path, int_max_str_digits,
+                                                  argv, graph):
+    int_max_str_digits(4300)
+    huge = "9" * 4301
+    if graph is not None:
+        (tmp_path / "graph.txt").write_text(graph.format(huge=huge), encoding="utf-8")
+    argv = [a.format(huge=huge, graph=tmp_path / "graph.txt", out=tmp_path / "x") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "expected an integer" in err
+
+
 def test_match_budget_exceeded_exits_4(capsys):
     text = " ".join(str(v) for v in range(1, 41))
     pattern = " ".join(str(v) for v in range(1, 11))

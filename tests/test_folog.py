@@ -282,6 +282,46 @@ def test_parse_outcomes_equal_the_golden_corpus(monkeypatch, size):
     assert renamed < 40
 
 
+def test_the_corpus_holds_what_its_generator_makes():
+    assert [text for text, _ in _corpus()] == fo_corpus.inputs()
+
+
+def test_an_instance_is_never_shorter_than_its_table():
+    # parse_instance makes its n x n table only when n^2 <= len(text).  A
+    # tl line's length depends only on its unordered pair of positions, so
+    # every text of length n has an instance of one length.
+    f = encode_formula(parse_pattern("1"))
+    for n in range(1, 61):
+        assert len(export_instance(_shuffled_text(n), f)) >= n * n
+
+
+def test_a_truncated_instance_fails_the_count_check_with_or_without_the_table():
+    lines = export_instance(T, encode_formula(parse_pattern("1"))).split("\n")
+    short = "\n".join([lines[0], lines[1], lines[11]])  # the header, one tl, one s
+    long = "\n".join(lines[:1] + lines[2:])  # every line but the first tl
+    assert len(short) < 5 * 5 <= len(long)
+    for text, got in ((short, "1 and 1"), (long, "9 and 4")):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == ("a text of length 5 needs 10 text_less and 4 succ pairs, "
+                                  f"got {got}")
+
+
+def test_parse_instance_reports_an_integer_past_the_digit_limit(int_max_str_digits):
+    int_max_str_digits(4300)
+    huge = "9" * 4301
+    for text, message in [
+        (f"fo {huge} 1", "expected header 'fo <n> <k>' (line 1)"),
+        (f"fo 1 {huge}", "expected header 'fo <n> <k>' (line 1)"),
+        (f"fo 2 1\ntl 1 {huge}", "malformed 'tl' line (line 2)"),
+        (f"fo 2 1\ntl {huge} 2", "malformed 'tl' line (line 2)"),
+        (f"fo 2 1\ntl 1 2\ns 1 {huge}", "malformed 's' line (line 3)"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == message
+
+
 def test_parse_instance_absorbs_repeated_lines():
     t, f = parse_permutation("312"), encode_formula(parse_pattern("[2 1]"))
     lines = export_instance(t, f).split("\n")

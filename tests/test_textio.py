@@ -9,6 +9,7 @@ from permpat.textio import (
     ParseError,
     _int_tokens,
     _parse_dash,
+    are_int_tokens,
     parse_graph,
     parse_pattern,
     parse_permutation,
@@ -162,6 +163,34 @@ def test_int_tokens_forms_and_errors():
         assert (str(err.value), err.value.offset) == (message, offset), text
 
 
+def test_an_integer_token_has_at_most_the_digits_int_reads(int_max_str_digits):
+    int_max_str_digits(640)
+    assert are_int_tokens("1", "9" * 640) and not are_int_tokens("1", "9" * 641)
+    assert not are_int_tokens() and not are_int_tokens("") and not are_int_tokens("1", "")
+    int_max_str_digits(0)  # no limit
+    assert are_int_tokens("9" * 5000)
+    with pytest.raises(ValidationError):
+        parse_permutation("1 " + "9" * 5000)
+
+
+def test_permutation_reports_an_integer_past_the_digit_limit(int_max_str_digits):
+    int_max_str_digits(4300)
+    huge = "9" * 4301
+    with pytest.raises(ParseError) as err:
+        parse_permutation(f"1 {huge}")
+    assert (str(err.value), err.value.offset) == (f"expected an integer, got {huge!r} (byte 2)", 2)
+    with pytest.raises(ValidationError):  # one run of digits is one value per digit
+        parse_permutation(huge)
+
+
+def test_bracket_pattern_reports_an_integer_past_the_digit_limit(int_max_str_digits):
+    int_max_str_digits(4300)
+    huge = "9" * 4301
+    with pytest.raises(ParseError) as err:
+        parse_pattern(f"[1 {huge}]")
+    assert (str(err.value), err.value.offset) == (f"expected an integer, got {huge!r} (byte 3)", 3)
+
+
 def test_bracket_pattern_rejects_non_ascii_digits():
     with pytest.raises(ParseError, match="unexpected character") as err:
         parse_pattern("[1 ²]")
@@ -197,6 +226,18 @@ def test_graph_rejects_non_ascii_digits():
     with pytest.raises(ParseError, match="header: expected an integer") as err:
         parse_graph("p ² 0")
     assert err.value.line == 1
+
+
+def test_graph_reports_an_integer_past_the_digit_limit(int_max_str_digits):
+    int_max_str_digits(4300)
+    huge = "9" * 4301
+    for text, message in [
+        (f"p {huge} 0", f"header: expected an integer, got {huge!r} (line 1)"),
+        (f"p 2 1\n{huge} 1", f"edge: expected an integer, got {huge!r} (line 2)"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert str(err.value) == message
 
 
 def test_dash_and_bracket_forms_agree_exhaustively_up_to_k4():
