@@ -15,14 +15,20 @@ between the two is a meaningful consistency check, not a tautology.
 An instance's line format costs memory in proportion to its bytes, not to
 its line count, which for the text_less relation alone is n(n-1)/2: its
 lines are made one at a time (``permpat encode-fo`` writes each as it is
-made), and ``parse_instance`` reads its input a chunk at a time and marks
-each text_less pair in one table of n x n bytes, which it makes only when
-n^2 is at most the input's length, as it is for every instance that has
-its n(n-1)/2 text_less lines.
+made), and ``parse_instance`` reads its input a chunk of whole lines at a
+time and marks each text_less pair in one table of n x n bytes, which it
+makes only when n^2 is at most the input's length, as it is for every
+instance that has its n(n-1)/2 text_less lines.  Inside a chunk, each run
+of text_less lines in ``export_instance``'s form ("tl <x> <y>", numbers of
+1 to 18 ASCII digits, each line ended by LF), up to 256 lines at a time,
+is read in bulk: one regular expression match, one split and one int()
+pass.  Every other line is read on its own, and only that reader raises
+an error.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, compress
@@ -39,7 +45,14 @@ __all__ = [
     "parse_instance",
 ]
 
-_CHUNK = 1 << 13  # characters parse_instance splits into lines at a time
+_CHUNK = 1 << 13  # characters parse_instance takes at a time
+# the characters str.splitlines() ends a line at; a CRLF ends one line
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_END = re.compile(f"\r\n|[{_BREAKS}]")
+# a run of text_less lines as export_instance writes them, from a line start
+# on: numbers of at most 18 digits, which int() reads whatever its limit,
+# and at most 256 lines, whose split fields take about 45 KB
+_TL_RUN = re.compile(f"(?<![^{_BREAKS}])(?:tl [0-9]{{1,18}} [0-9]{{1,18}}\n){{1,256}}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +126,8 @@ def model_check(t: Permutation, f: FoFormula) -> tuple[int, ...] | None:
     values = t.values
     n = len(values)
     k = f.var_count
+    if k > n:
+        return None
     pos_by_j: list[list[int]] = [[] for _ in range(k + 1)]
     neg_by_j: list[list[int]] = [[] for _ in range(k + 1)]
     for i, j in f.pos_literals:
@@ -120,8 +135,6 @@ def model_check(t: Permutation, f: FoFormula) -> tuple[int, ...] | None:
     for i, j in f.neg_literals:
         neg_by_j[j].append(i)
     adj = f.adj_literals
-    if k > n:
-        return None
     assignment = [0] * (k + 1)
     # the explicit stack: candidate[j] is the next value to try for x_j
     candidate = [0] * (k + 2)
@@ -132,13 +145,22 @@ def model_check(t: Permutation, f: FoFormula) -> tuple[int, ...] | None:
             last = min(assignment[j - 1] + 1, n)
         else:
             last = n - (k - j)
+        # the values at the assigned variables that x_j's literals compare
+        # with: pos literals want them below x_j's value, neg ones above
+        lower = [values[assignment[i] - 1] for i in pos_by_j[j]]
+        upper = [values[assignment[i] - 1] for i in neg_by_j[j]]
         x = candidate[j]
         while x <= last:
             vx = values[x - 1]
-            if all(values[assignment[i] - 1] < vx for i in pos_by_j[j]) and not any(
-                values[assignment[i] - 1] < vx for i in neg_by_j[j]
-            ):
-                break
+            for v in lower:
+                if not v < vx:
+                    break
+            else:
+                for v in upper:
+                    if v < vx:
+                        break
+                else:
+                    break  # x satisfies every literal
             x += 1
         if x > last:
             j -= 1  # x_j has no candidate left: resume x_{j-1}
@@ -182,22 +204,38 @@ def export_instance(t: Permutation, f: FoFormula) -> str:
     return "\n".join(_instance_lines(t, f))
 
 
-def _physical_lines(text: str, size: int = _CHUNK) -> Iterator[str]:
-    """The lines of ``text.splitlines()``, each with its line end, split a
-    chunk of at least ``size`` characters at a time.  Each chunk's last line
-    is carried into the next, so a line or a CRLF that straddles a chunk
-    edge comes out whole; a chunk is as long as the line carried into it,
-    so a long line is copied O(1) times per character."""
-    carry = ""
+def _line_chunks(text: str, size: int = _CHUNK) -> Iterator[str]:
+    """text cut into consecutive pieces of whole lines, as
+    ``text.splitlines()`` ends them: each piece runs from where the last
+    one ended to the end of the line holding its size-th character, so
+    every character is copied once."""
     start = 0
     while start < len(text):
-        end = start + max(size, len(carry))
-        lines = (carry + text[start:end]).splitlines(True)
-        carry = lines.pop()
-        yield from lines
-        start = end
-    if carry:
-        yield carry
+        end = _LINE_END.search(text, start + size - 1)
+        cut = end.end() if end else len(text)
+        yield text[start:cut]
+        start = cut
+
+
+def _reads(text: str) -> Iterator[tuple[int, str, bool]]:
+    """The input in file order, as (number of its first line, text, run):
+    each run of ``export_instance``-form text_less lines inside a chunk of
+    ``_line_chunks``, up to 256 lines, as one string with run true, and
+    every other line on its own, without its line end."""
+    lineno = 1
+    for chunk in _line_chunks(text):
+        pos = 0
+        while pos < len(chunk):
+            run = _TL_RUN.search(chunk, pos)
+            stop = run.start() if run else len(chunk)
+            for line in chunk[pos:stop].splitlines():
+                yield lineno, line, False
+                lineno += 1
+            if run is None:
+                break
+            yield lineno, run.group(), True
+            lineno += run.group().count("\n")
+            pos = run.end()
 
 
 def parse_instance(text: str) -> tuple[Permutation, FoFormula]:
@@ -218,11 +256,15 @@ def parse_instance(text: str) -> tuple[Permutation, FoFormula]:
     neg: set[tuple[int, int]] = set()
     adj: set[int] = set()
     kinds = {"s": (succ, 2), "pos": (pos, 2), "neg": (neg, 2), "adj": (adj, 1)}
-    for lineno, raw in enumerate(_physical_lines(text), start=1):
+    for lineno, raw, run in _reads(text):
         fields = raw.split()
-        if not fields:
+        # a run goes in bulk once the header is read; before it, the run's
+        # first line fails as a header below
+        if run and header is not None:
+            pairs = zip(map(int, fields[1::3]), map(int, fields[2::3]))
+        elif not fields:
             continue
-        if header is None:
+        elif header is None:
             if len(fields) != 3 or fields[0] != "fo" or not are_int_tokens(*fields[1:]):
                 raise ParseError("expected header 'fo <n> <k>'", line=lineno)
             header = n, k = int(fields[1]), int(fields[2])
@@ -231,23 +273,25 @@ def parse_instance(text: str) -> tuple[Permutation, FoFormula]:
             if n * n <= len(text):
                 marks = bytearray(n * n)
             continue
-        kind = fields[0]
-        if kind == "tl":
+        elif fields[0] == "tl":
             if len(fields) != 3 or not are_int_tokens(fields[1], fields[2]):
                 raise ParseError("malformed 'tl' line", line=lineno)
-            a, b = int(fields[1]), int(fields[2])
+            pairs = ((int(fields[1]), int(fields[2])),)
+        else:
+            kind = fields[0]
+            if kind not in kinds:
+                raise ParseError(f"unknown line kind {kind!r}", line=lineno)
+            target, arity = kinds[kind]
+            args = fields[1:]
+            if len(args) != arity or not are_int_tokens(*args):
+                raise ParseError(f"malformed {kind!r} line", line=lineno)
+            target.add(tuple(int(a) for a in args) if arity == 2 else int(args[0]))
+            continue
+        for a, b in pairs:
             if 1 <= a <= n and 1 <= b <= n:
                 marks[(a - 1) * n + b - 1] = 1
             elif outside is None:
                 outside = a, b
-            continue
-        if kind not in kinds:
-            raise ParseError(f"unknown line kind {kind!r}", line=lineno)
-        target, arity = kinds[kind]
-        args = fields[1:]
-        if len(args) != arity or not are_int_tokens(*args):
-            raise ParseError(f"malformed {kind!r} line", line=lineno)
-        target.add(tuple(int(a) for a in args) if arity == 2 else int(args[0]))
     if header is None:
         raise ParseError("empty instance")
     if outside is not None:

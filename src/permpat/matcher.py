@@ -11,7 +11,9 @@ order:
 * ``iter_embeddings`` is the engine table, the one place an engine name is
   resolved, and yields each embedding as soon as the search finds it.
   ``brute`` filters every strictly increasing k-tuple of text
-  positions; it is the oracle and refuses to run past a candidate budget.
+  positions through the pattern's brute plan (``_brute_plan``: block
+  spans and value-consecutive index pairs, made once per pattern and
+  cached); it is the oracle and refuses to run past a candidate budget.
   ``backtrack`` (and ``auto``) lays adjacency blocks down as whole units,
   left to right from an explicit stack, pruned by three rules set up once
   per query (see ``_iter_backtracking``); it is the workhorse and carries
@@ -23,7 +25,8 @@ order:
   classical monotone patterns 1..k and k..1 with a
   longest-increasing-subsequence witness instead.
 * ``is_valid_embedding`` is where an embedding from outside the engines is
-  checked, first as a tuple of positions, then as a matching.
+  checked, first as a tuple of positions, then as a matching through the
+  same brute plan, stopping at the first failed test.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 from itertools import combinations, compress
 from operator import and_, lt
 from typing import Iterator, Sequence
@@ -76,19 +79,31 @@ class MatchRequest:
     mode: Mode = Mode.DECIDE
 
 
-def _value_order(pattern: GeneralizedPattern) -> list[int]:
-    """The pattern's 0-based indices sorted by value: positions carry values
-    ordered like the pattern exactly when the text values along this order
-    rise."""
-    return sorted(range(pattern.k), key=pattern.values.__getitem__)
+# room for one exhaustive verify group, whose patterns cycle for each text:
+# a value order's 2^(k-1) block sets, at most 256 for any k the budget admits
+@lru_cache(maxsize=256)
+def _brute_plan(pattern: GeneralizedPattern) -> tuple[tuple, tuple]:
+    """What the brute side tests of a pattern, kept for reuse across texts,
+    as (spans, rises):
+
+    * spans: per block [a, b], (a - 1, b - 1, b - a).  Positions strictly
+      increase, so the block sits on consecutive positions exactly when
+      those at its 0-based ends lie b - a apart;
+    * rises: the pairs (i, j) of 0-based indices whose pattern values are
+      consecutive, i's the smaller.  Positions carry values ordered like
+      the pattern exactly when the text value at i is below the one at j
+      for every pair, k - 1 comparisons along the value order.
+    """
+    order = sorted(range(pattern.k), key=pattern.values.__getitem__)
+    spans = tuple((a - 1, b - 1, b - a) for a, b in pattern.blocks)
+    return spans, tuple(zip(order, order[1:]))
 
 
 def is_valid_embedding(p: GeneralizedPattern, t: Permutation, positions: Sequence[int]) -> bool:
     """True iff the 1-based text positions realize a matching of p into t:
-    order-isomorphism (k - 1 comparisons along the pattern's value order)
-    plus text adjacency inside every block.  Positions strictly increase,
-    so block [a, b] sits on consecutive positions exactly when it spans
-    b - a of them.
+    text adjacency inside every block, then order-isomorphism, each tested
+    through the pattern's cached brute plan (``_brute_plan``) up to the
+    first test that fails.
 
     Raises ValidationError unless positions are integers that strictly
     increase from 1 up, and ValueError unless there are k of them, all
@@ -107,20 +122,21 @@ def is_valid_embedding(p: GeneralizedPattern, t: Permutation, positions: Sequenc
         raise ValueError(f"embedding length {len(pos)} != pattern length {p.k}")
     if pos[-1] > t.n:
         raise ValueError(f"embedding position {pos[-1]} exceeds text length {t.n}")
-    for a, b in p.blocks:
-        if pos[b - 1] - pos[a - 1] != b - a:
+    spans, rises = _brute_plan(p)
+    for a, b, span in spans:
+        if pos[b] - pos[a] != span:
             return False
     tv = t.values
-    rising = [tv[pos[i] - 1] for i in _value_order(p)]
-    return all(map(lt, rising, rising[1:]))
+    for i, j in rises:
+        if tv[pos[i] - 1] > tv[pos[j] - 1]:
+            return False
+    return True
 
 
 def _iter_bruteforce(pattern: GeneralizedPattern, text: Permutation) -> Iterator[tuple[int, ...]]:
     """All valid embeddings as 1-based position tuples, lexicographic."""
     tv = (0,) + text.values  # indexed by 1-based position
-    spans = tuple((a - 1, b - 1, b - a) for a, b in pattern.blocks)
-    order = _value_order(pattern)
-    rises = tuple(zip(order, order[1:]))
+    spans, rises = _brute_plan(pattern)
     for combo in combinations(range(1, text.n + 1), pattern.k):
         for a, b, span in spans:  # as in is_valid_embedding
             if combo[b] - combo[a] != span:
@@ -159,9 +175,13 @@ def _factor_starts(order: tuple[int, ...], tv: tuple[int, ...]) -> list[int]:
     m = len(tv) - len(order) + 1
     if m <= 0:
         return []
-    # one comparison stream per pair of value-consecutive block offsets
-    rises = [map(lt, tv[x:x + m], tv[y:y + m]) for x, y in zip(order, order[1:])]
-    return list(compress(range(m), reduce(partial(map, and_), rises)))
+    # one comparison stream per pair of value-consecutive block offsets,
+    # and-ed together
+    x, y = order[0], order[1]
+    rising = map(lt, tv[x:x + m], tv[y:y + m])
+    for x, y in zip(order[1:], order[2:]):
+        rising = map(and_, rising, map(lt, tv[x:x + m], tv[y:y + m]))
+    return list(compress(range(m), rising))
 
 
 # room for one exhaustive verify group, whose patterns cycle for each text:
@@ -203,10 +223,15 @@ def _candidate_starts(
 ) -> list[Sequence[int]]:
     """Per placement unit, the sorted 0-based text starts it may take: every
     position for a singleton (empty order), the order-isomorphic factors
-    for a block.  Blocks of one order share one scan of the text, made in
-    the order of their first blocks."""
-    scans = {order: _factor_starts(order, tv) for order in dict.fromkeys(orders) if order}
-    return [scans[order] if order else range(len(tv)) for order in orders]
+    for a block.  One pass over the units; blocks of one order share one
+    scan of the text, made where the first of them is reached."""
+    scans: dict[tuple[int, ...], Sequence[int]] = {(): range(len(tv))}
+    starts = []
+    for order in orders:
+        if order not in scans:
+            scans[order] = _factor_starts(order, tv)
+        starts.append(scans[order])
+    return starts
 
 
 def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterator[tuple[int, ...]]:
@@ -229,24 +254,24 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
       by the last start that leaves room for candidates of every later
       unit, and ends the search at once if some unit has none.
     """
-    pv = pattern.values
     tv = text.values
-    k, n = len(pv), len(tv)
+    k, n = len(pattern.values), len(tv)
     if k > n:
         return
     units, below, above, windows, orders = _search_plan(pattern)
     nu = len(units)
     starts = _candidate_starts(orders, tv)
     # stop[u]: index in starts[u] of the latest start that still leaves
-    # room for every later unit
-    stop = [0] * nu
+    # room for every later unit, found right to left
+    stop = []
     bound = n
-    for u in range(nu - 1, -1, -1):
-        last = bisect_right(starts[u], bound - units[u][1]) - 1
+    for (_, length), cand in zip(reversed(units), reversed(starts)):
+        last = bisect_right(cand, bound - length) - 1
         if last < 0:
             return
-        stop[u] = last
-        bound = starts[u][last]
+        stop.append(last)
+        bound = cand[last]
+    stop.reverse()
 
     pos = [0] * k  # 1-based text position per pattern index; output only
     # text value at each placed pattern index, then the two "none" sentinels
@@ -303,7 +328,9 @@ def iter_embeddings(
     engine's C(n, k) candidates exceed the budget, ValueError for an engine
     not in ENGINES."""
     if engine == "brute":
-        _check_budget(math.comb(text.n, pattern.k), f"C({text.n}, {pattern.k})", budget)
+        count = math.comb(text.n, pattern.k)
+        if count > budget:  # the refusal's label is made only for a refusal
+            _check_budget(count, f"C({text.n}, {pattern.k})", budget)
         return _iter_bruteforce(pattern, text)
     if engine in ("auto", "backtrack"):
         return _iter_backtracking(pattern, text)

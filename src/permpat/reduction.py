@@ -287,12 +287,11 @@ def matched_vertices(trace: ReductionTrace, positions: tuple[int, ...]) -> tuple
         raise ValueError("embedding length does not match the reduced pattern")
     vertices = []
     for i in range(1, trace.k + 1):
-        text_pos = positions[2 * i - 1]
-        if text_pos % 2 != 0 or text_pos > 2 * trace.l:
-            raise ValueError(
-                f"pattern dot pair {i} does not land on a text dot pair (position {text_pos})"
-            )
-        vertices.append(text_pos // 2)
+        first, second = positions[2 * i - 2], positions[2 * i - 1]
+        if second % 2 != 0 or second > 2 * trace.l or first != second - 1:
+            raise ValueError(f"pattern dot pair {i} does not land on a text dot pair "
+                             f"(positions {first}, {second})")
+        vertices.append(second // 2)
     return tuple(vertices)
 
 

@@ -42,6 +42,9 @@ _TOKEN_RE = re.compile(r"[^\s,]+")
 _DIGITS_RE = re.compile(r"[0-9]+")
 # int()'s digit limit; 0, no limit, on a Python older than the limit (3.10.7)
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+# int() reads every run of at most this many digits, as the limit is never
+# set below it; 0 on a Python older than the limit
+_ALWAYS_READ = getattr(sys.int_info, "str_digits_check_threshold", 0)
 
 
 class ParseError(ValueError):
@@ -63,9 +66,12 @@ def are_int_tokens(*tokens: str) -> bool:
     int() reads it.  str.isdigit() alone also accepts characters such as
     '²', on which int() then fails, as it does on a longer run."""
     joined = "".join(tokens)
+    if not (joined.isascii() and joined.isdigit() and all(tokens)):
+        return False
+    if len(joined) <= _ALWAYS_READ:
+        return True
     limit = _int_max_str_digits() or len(joined)
-    return (joined.isascii() and joined.isdigit() and all(tokens)
-            and (len(joined) <= limit or max(map(len, tokens)) <= limit))
+    return len(joined) <= limit or max(map(len, tokens)) <= limit
 
 
 def _byte_offset(text: str, char_index: int) -> int:

@@ -49,7 +49,7 @@ def _imports(path: Path) -> set[str]:
 
 # matcher.py's two engines: the brute oracle with the embedding check, and
 # the backtracker with its set-up; neither side may call into the other
-BRUTE_SIDE = {"is_valid_embedding", "_iter_bruteforce", "_value_order"}
+BRUTE_SIDE = {"is_valid_embedding", "_iter_bruteforce", "_brute_plan"}
 BACKTRACK_SIDE = {
     "_iter_backtracking", "_search_plan", "_value_neighbours", "_candidate_starts",
     "_factor_starts",

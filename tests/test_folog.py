@@ -234,19 +234,28 @@ def test_parse_instance_counts_blank_lines_in_line_numbers():
 
 
 def test_the_chunked_line_walk_equals_splitlines():
+    def check(text, size=folog._CHUNK):
+        chunks = list(folog._line_chunks(text, size))
+        assert "".join(chunks) == text, (text, size)
+        # each chunk ends where a line does, and only the last is short
+        assert [line for chunk in chunks for line in chunk.splitlines(True)] == \
+            text.splitlines(True), (text, size)
+        assert all(len(chunk) >= size for chunk in chunks[:-1]), (text, size)
+
     rng = random.Random(18)
     alphabet = ["a", "1", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
                 "\x1e", "\x85", " ", " "]
     for _ in range(400):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
         for size in range(1, 9):
-            assert list(folog._physical_lines(text, size)) == text.splitlines(True), (text, size)
+            check(text, size)
     # lines, and a CRLF, across the default chunk edge
     edge = folog._CHUNK
     for text in ("x" * (edge - 1) + "\r\n" + "y" * 3,
+                 "x" * (edge - 2) + "\r\n" + "y" * 3,
                  "x" * (2 * edge + 5) + "\n\n",
                  ("tl 1 2\r\n" * edge)[:3 * edge + 1]):
-        assert list(folog._physical_lines(text)) == text.splitlines(True)
+        check(text)
 
 
 def _corpus():
@@ -265,8 +274,7 @@ def _first_pair_outside(text, n):
 
 @pytest.mark.parametrize("size", [folog._CHUNK, 1, 5])
 def test_parse_outcomes_equal_the_golden_corpus(monkeypatch, size):
-    monkeypatch.setattr(folog, "_physical_lines", functools.partial(folog._physical_lines,
-                                                                    size=size))
+    monkeypatch.setattr(folog, "_line_chunks", functools.partial(folog._line_chunks, size=size))
     renamed = 0
     for text, want in _corpus():
         got = fo_corpus.outcome(text)
@@ -280,6 +288,101 @@ def test_parse_outcomes_equal_the_golden_corpus(monkeypatch, size):
             continue
         assert got == want, text
     assert renamed < 40
+
+
+def _read_lines(text):
+    """(line number, line) for every line _reads gives, runs cut into lines."""
+    return [(lineno + i, line)
+            for lineno, raw, run in folog._reads(text)
+            for i, line in enumerate(raw.splitlines() if run else [raw])]
+
+
+def _run_lines(text):
+    return [line for _, raw, run in folog._reads(text) if run for line in raw.splitlines()]
+
+
+@pytest.mark.parametrize("size", [folog._CHUNK, 1, 5, 20])
+def test_the_reads_give_every_line_once_with_its_number(monkeypatch, size):
+    monkeypatch.setattr(folog, "_line_chunks", functools.partial(folog._line_chunks, size=size))
+    f = encode_formula(parse_pattern("[2 1] 3"))
+    plain = export_instance(_shuffled_text(9), f)
+    tl = [i for i, line in enumerate(plain.split("\n")) if line.startswith("tl ")]
+    rng = random.Random(size)
+    for _ in range(30):
+        # line breaks of every kind and blank lines next to the runs
+        lines = plain.split("\n")
+        text = "".join(line + rng.choice(["\n", "\n", "\n", "\r\n", "\x0b", "\x85", "\n\n"])
+                       for line in lines)
+        assert _read_lines(text) == list(enumerate(text.splitlines(), start=1))
+        assert parse_instance(text) == parse_instance(plain)
+    # one chunk cuts a run wherever a chunk ends; the default one holds it
+    assert _run_lines(plain + "\n") == plain.split("\n")[tl[0]:tl[-1] + 1]
+    runs = sum(run for _, _, run in folog._reads(plain))
+    assert runs == 1 if size == folog._CHUNK else runs > 1
+
+
+def test_a_run_across_the_default_chunk_edge():
+    t = _shuffled_text(60)  # 1,770 tl lines, two chunks
+    text = export_instance(t, encode_formula(parse_pattern("1 [3 2]")))
+    assert len(text) > folog._CHUNK
+    chunks = list(folog._line_chunks(text))
+    assert chunks[0].endswith("\n") and chunks[1].startswith("tl ")
+    assert _read_lines(text) == list(enumerate(text.splitlines(), start=1))
+    # a run holds at most 256 lines, so a chunk's tl lines take several
+    runs = [raw.count("\n") for _, raw, run in folog._reads(text) if run]
+    assert sum(runs) == 1770 and max(runs) == 256 and len(runs) > len(chunks)
+    assert parse_instance(text) == (t, encode_formula(parse_pattern("1 [3 2]")))
+
+
+def test_a_run_starts_only_at_a_line_start():
+    for text, message in (("fo 2 1\nxtl 1 2\n", "unknown line kind 'xtl' (line 2)"),
+                          ("fo 2 2\ntl 1 2\ns 1 2\npos 1 2\nadj 1 tl 1 2\n",
+                           "malformed 'adj' line (line 5)")):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == message
+
+
+def test_the_run_reader_names_the_first_pair_outside_in_file_order():
+    # (9, 1) on a CRLF line before the run, (7, 1) inside it, (1, 5) after
+    for text, first in (("fo 2 1\ntl 1 2\ntl 7 1\ntl 1 5\ns 1 2", (7, 1)),
+                        ("fo 2 1\ntl 9 1\r\ntl 1 2\ntl 7 1\ns 1 2", (9, 1)),
+                        ("fo 2 1\ntl 1 2\ntl 7 1\ntl 9 1\r\ns 1 2", (7, 1)),
+                        ("fo 2 1\ntl 1 2\ntl 1 2\ntl 1 2\ntl 0 1\n", (0, 1))):
+        assert any(run for _, _, run in folog._reads(text))
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == f"text_less pair {first} outside positions 1..2"
+
+
+def test_the_run_reader_absorbs_a_repeated_line():
+    t, f = parse_permutation("2 3 1"), encode_formula(parse_pattern("[1 2]"))
+    lines = export_instance(t, f).split("\n")
+    text = "\n".join(lines[:2] + lines[1:])  # the first tl line twice, in one run
+    assert _run_lines(text) == lines[1:2] + lines[1:4]
+    assert parse_instance(text) == (t, f)
+
+
+def test_a_tl_number_of_19_digits_goes_line_by_line():
+    t, f = parse_permutation("2 3 1"), encode_formula(parse_pattern("[1 2]"))
+    plain = export_instance(t, f)
+    long = plain.replace("tl 1 2\n", "tl 0000000000000000001 2\n")
+    assert long != plain
+    assert "tl 0000000000000000001 2" not in _run_lines(long)
+    assert ("tl 0000000000000000001 2" in dict(_read_lines(long)).values())
+    assert parse_instance(long) == (t, f)
+    with pytest.raises(ParseError) as err:
+        parse_instance(long.replace("tl 0000000000000000001 2", "tl 9999999999999999999 2"))
+    assert str(err.value) == "text_less pair (9999999999999999999, 2) outside positions 1..3"
+
+
+def test_a_run_before_the_header_fails_as_a_header():
+    for text, line in (("tl 1 2\ntl 1 3\nfo 2 1\n", 1), ("\n\ntl 1 2\ntl 1 3\nfo 2 1", 3),
+                       ("\r\n\x85tl 1 2\ntl 1 3\n", 3)):
+        assert any(run for _, _, run in folog._reads(text))
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == f"expected header 'fo <n> <k>' (line {line})"
 
 
 def test_the_corpus_holds_what_its_generator_makes():

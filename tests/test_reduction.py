@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from permpat import reduction
+from permpat import reduction, verify
 from permpat.core import (
     BudgetExceededError,
     GeneralizedPattern,
@@ -215,6 +215,21 @@ def test_matched_vertices_on_the_worked_example():
     }
     assert selected == independent_sets
     assert (2, 3, 5) in selected
+
+
+def test_matched_vertices_refuses_a_dot_pair_across_two_vertex_pairs():
+    trace = reduce(REFERENCE_GRAPH, 3)
+    witness = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
+    assert witness[:6] == (3, 4, 5, 6, 9, 10)  # vertices 2, 3 and 5
+    # the third dot pair on text positions 8 and 10: the second dot of
+    # vertex 4, then that of vertex 5.  No matcher witness does this, and
+    # its second position alone would decode to the independent set again.
+    straddling = witness[:4] + (8,) + witness[5:]
+    with pytest.raises(ValueError) as err:
+        matched_vertices(trace, straddling)
+    assert str(err.value) == ("pattern dot pair 3 does not land on a text dot pair "
+                              "(positions 8, 10)")
+    assert not verify._selects_independent_set(REFERENCE_GRAPH, trace, straddling)
 
 
 def test_trace_blocks_layout():

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from permpat import folog, reduction, verify
+from permpat import folog, matcher, reduction, verify
 from permpat.cli import main
 from permpat.core import DEFAULT_BUDGET, GeneralizedPattern, Graph, Permutation
 from permpat.matcher import MatchRequest, Mode, match_dispatch
@@ -39,6 +39,14 @@ def test_engines_suite_small():
     results = suite_engines(max_n=4, max_k=3, samples=30, seed=1)
     assert all(r.ok for r in results)
     assert any("backtracking == brute force" in r.detail for r in results)
+
+
+def test_the_engine_suite_makes_each_brute_plan_once():
+    # the brute engine and the embedding check share one plan per pattern:
+    # 1 + 2 * 2 + 6 * 4 = 29 patterns of length at most 3
+    matcher._brute_plan.cache_clear()
+    suite_engines(max_n=5, max_k=3)
+    assert matcher._brute_plan.cache_info().misses == 29
 
 
 def test_reduction_suite_small():
