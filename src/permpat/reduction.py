@@ -13,9 +13,9 @@ independent set of size k:
 * stage 2 eliminates repeated values.  Each value j owns a private
   interval: the dot occurrence of j becomes the pair (high_j, low_j) and
   the bar occurrences of j become an increasing run strictly between
-  low_j and high_j.  Rank-normalizing all entries to 1..N yields halves
-  over ordinary distinct integers.  Ranks are computed with exact integer
-  keys (value, occurrence index); floating point never participates.
+  low_j and high_j.  The intervals follow one another in value order, so
+  the ranks 1..N are prefix sums of interval sizes over the distinct
+  values: exact integers, with no sort of the entries and no floats.
 * stage 3 splices a four-element separator shaped high+3, high+2, high+1,
   high+4 between the halves.  On the pattern side the separator is one
   adjacency block and each bar triple becomes a block of length 3; the
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable
 
 from .core import (
@@ -126,39 +126,32 @@ def build_multiset_instance(g: Graph, k: int) -> tuple[MultisetHalves, MultisetH
     return pattern, text
 
 
-def _bar_occurrence_keys(h: MultisetHalves) -> tuple[list[tuple[int, int]], Counter]:
+def _bar_counts(h: MultisetHalves) -> Counter:
     if len(set(h.dot)) != len(h.dot):
         raise ValidationError("dot half has repeated values; cannot deduplicate")
-    counts: Counter = Counter()
-    keys: list[tuple[int, int]] = []
-    for block in h.bar:
-        for v in block:
-            counts[v] += 1
-            keys.append((v, counts[v]))
-    return keys, counts
+    return Counter(v for block in h.bar for v in block)
 
 
 def deduplicate(h: MultisetHalves) -> MultisetHalves:
     """Stage 2: spread each value across its own interval and rank-normalize.
 
-    A dot entry j becomes the key pair (j, high) then (j, low); the t-th
-    bar occurrence of j becomes (j, t), which sits strictly between the
-    two.  Sorting all keys and replacing each by its 1-based rank yields
-    halves whose combined values are exactly 1..N.
+    The intervals follow one another in value order.  With zero_j the count
+    of entries of smaller values, plus 1 if j is a dot entry, and m_j the
+    count of bar occurrences of j, dot j becomes the pair
+    (zero_j + m_j + 1, zero_j) and the t-th bar occurrence of j becomes
+    zero_j + t.  The combined values are exactly 1..N.
     """
-    bar_keys, counts = _bar_occurrence_keys(h)
-    # low occurrence index 0, bar occurrences 1..m, high m+1
-    dot_keys: list[tuple[int, int]] = []
-    for j in h.dot:
-        dot_keys.append((j, counts[j] + 1))
-        dot_keys.append((j, 0))
-    rank = {key: r for r, key in enumerate(sorted(dot_keys + bar_keys), start=1)}
-    new_dot = tuple(rank[key] for key in dot_keys)
-    new_bar = []
-    it = iter(bar_keys)
-    for block in h.bar:
-        new_bar.append(tuple(rank[next(it)] for _ in block))
-    return MultisetHalves(dot=new_dot, bar=tuple(new_bar))
+    counts = _bar_counts(h)
+    dots = set(h.dot)
+    zero: dict[int, int] = {}
+    below = 0
+    for j in sorted(dots.union(counts)):
+        zero[j] = below + (j in dots)
+        below += counts[j] + 2 * (j in dots)
+    new_dot = tuple(r for j in h.dot for r in (zero[j] + counts[j] + 1, zero[j]))
+    bar_ranks = {j: count(zero[j] + 1) for j in counts}
+    new_bar = tuple(tuple(next(bar_ranks[v]) for v in block) for block in h.bar)
+    return MultisetHalves(dot=new_dot, bar=new_bar)
 
 
 def deduplicate_with_reals(
@@ -173,7 +166,7 @@ def deduplicate_with_reals(
     """
     if assign is None:
         assign = lambda j, t, m: j + 0.9 * t / (m + 1)
-    _, counts = _bar_occurrence_keys(h)
+    counts = _bar_counts(h)
     reals_dot: list[float] = []
     for j in h.dot:
         reals_dot.extend((j + 0.9, float(j)))

@@ -440,6 +440,17 @@ def test_non_utf8_input_exits_3(capsys, tmp_path, argv):
     assert "can't decode" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["match", "-p", "@a\0b", "-t", "1 2"],
+    ["reduce", "a\0b", "-o", "x"],
+    ["encode-fo", "-p", "1", "-t", "1", "-o", "a\0b"],
+], ids=["match", "reduce", "encode-fo"])
+def test_a_file_name_holding_a_nul_byte_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: file name 'a\\x00b' holds a NUL byte\n"
+
+
 def test_reduce_writes_instance_files(capsys, tmp_path):
     graph = tmp_path / "graph.txt"
     graph.write_text(SIX_VERTEX_GRAPH_TEXT)

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -93,20 +94,54 @@ def test_deduplicate_worked_example_text():
     assert deduplicate_with_reals(text) == ranked
 
 
+SCHEMES = [
+    None,
+    lambda j, t, m: j + 0.45 + 0.4 * t / (m + 1),
+    lambda j, t, m: j + 0.9 - 0.8 / (t + 1),
+]
+
+
 def test_deduplicate_rank_stability_across_schemes():
     rng = random.Random(21)
-    schemes = [
-        None,
-        lambda j, t, m: j + 0.45 + 0.4 * t / (m + 1),
-        lambda j, t, m: j + 0.9 - 0.8 / (t + 1),
-    ]
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 7))
         k = rng.randint(1, g.l)
         for halves in build_multiset_instance(g, k):
             ranked = deduplicate(halves)
-            for scheme in schemes:
+            for scheme in SCHEMES:
                 assert deduplicate_with_reals(halves, scheme) == ranked
+
+
+def test_deduplicate_rank_stability_on_arbitrary_halves():
+    rng = random.Random(22)
+    shapes = {"bar value without a dot": 0, "dot value without a bar": 0, "block length": set()}
+    for _ in range(300):
+        dot = rng.sample(range(1, 13), rng.randint(0, 6))
+        bar = [tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 3)))
+               for _ in range(rng.randint(0 if dot else 1, 6))]
+        halves = MultisetHalves(tuple(dot), tuple(bar))
+        in_bar = {v for block in bar for v in block}
+        shapes["bar value without a dot"] += bool(in_bar - set(dot))
+        shapes["dot value without a bar"] += bool(set(dot) - in_bar)
+        shapes["block length"].update(map(len, bar))
+        ranked = deduplicate(halves)
+        for scheme in SCHEMES:
+            assert deduplicate_with_reals(halves, scheme) == ranked
+    assert shapes["bar value without a dot"] > 100 and shapes["dot value without a bar"] > 100
+    assert shapes["block length"] == {1, 2, 3}
+
+
+def test_deduplicate_keeps_memory_close_to_its_output():
+    _, text = build_multiset_instance(Graph(100, frozenset()), 1)
+    assert len(text) == 14_950
+    tracemalloc.start()
+    try:
+        ranked = deduplicate(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ranked) == len(text) + len(text.dot)  # each dot entry becomes a pair
+    assert peak <= 2 * kept
 
 
 def test_deduplicate_rejects_repeated_dot_values():
