@@ -53,15 +53,15 @@ EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 
-def _open(name: str, mode: str = "r"):
+def _file(name: str) -> str:
     if "\0" in name:  # open() would raise ValueError, not OSError
         raise ParseError(f"file name {name!r} holds a NUL byte")
-    return open(name, mode, encoding="utf-8")
+    return name
 
 
 def _read_arg(arg: str) -> str:
     if arg.startswith("@"):
-        with _open(arg[1:]) as handle:
+        with open(_file(arg[1:]), encoding="utf-8") as handle:
             return handle.read()
     return arg
 
@@ -110,7 +110,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    with _open(args.graph) as handle:
+    prefix = _file(args.output)  # refused before the instance is built
+    with open(_file(args.graph), encoding="utf-8") as handle:
         graph, file_k = parse_graph(handle.read())
     k = args.k if args.k is not None else file_k
     if k is None:
@@ -118,12 +119,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     trace = reduce(graph, k)
-    with _open(args.output + ".pattern", "w") as handle:
+    with open(prefix + ".pattern", "w", encoding="utf-8") as handle:
         handle.write(serialize_pattern(trace.stage3_pattern) + "\n")
-    with _open(args.output + ".text", "w") as handle:
+    with open(prefix + ".text", "w", encoding="utf-8") as handle:
         handle.write(serialize_permutation(trace.stage3_text) + "\n")
     if args.trace:
-        with _open(args.output + ".trace", "w") as handle:
+        with open(prefix + ".trace", "w", encoding="utf-8") as handle:
             handle.write(format_trace(trace))
     print(f"|P| = {len(trace.stage3_pattern)}")
     print(f"|T| = {len(trace.stage3_text)}")
@@ -134,7 +135,7 @@ def _cmd_encode_fo(args: argparse.Namespace) -> int:
     pattern = parse_pattern(_read_arg(args.pattern))
     text = parse_permutation(_read_arg(args.text))
     lines = _instance_lines(text, encode_formula(pattern))  # refuses before the file opens
-    with _open(args.output, "w") as handle:
+    with open(_file(args.output), "w", encoding="utf-8") as handle:
         # lines go out as they are made, a batch per write call: one call
         # per line would cost more than making the line
         while batch := list(islice(lines, 512)):

@@ -40,11 +40,9 @@ _CLOSE = "]⟩"
 
 _TOKEN_RE = re.compile(r"[^\s,]+")
 _DIGITS_RE = re.compile(r"[0-9]+")
-# int()'s digit limit; 0, no limit, on a Python older than the limit (3.10.7)
-_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-# int() reads every run of at most this many digits, as the limit is never
-# set below it; 0 on a Python older than the limit
-_ALWAYS_READ = getattr(sys.int_info, "str_digits_check_threshold", 0)
+# int() reads every run of at most this many digits, as its digit limit is
+# never set below it
+_ALWAYS_READ = sys.int_info.str_digits_check_threshold
 
 
 class ParseError(ValueError):
@@ -70,7 +68,7 @@ def are_int_tokens(*tokens: str) -> bool:
         return False
     if len(joined) <= _ALWAYS_READ:
         return True
-    limit = _int_max_str_digits() or len(joined)
+    limit = sys.get_int_max_str_digits() or len(joined)
     return len(joined) <= limit or max(map(len, tokens)) <= limit
 
 

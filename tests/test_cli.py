@@ -443,10 +443,15 @@ def test_non_utf8_input_exits_3(capsys, tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["match", "-p", "@a\0b", "-t", "1 2"],
     ["reduce", "a\0b", "-o", "x"],
+    ["reduce", "{graph}", "-o", "a\0b"],
     ["encode-fo", "-p", "1", "-t", "1", "-o", "a\0b"],
-], ids=["match", "reduce", "encode-fo"])
-def test_a_file_name_holding_a_nul_byte_exits_3(capsys, argv):
-    code, out, err = run(capsys, *argv)
+], ids=["match", "reduce", "reduce-output", "encode-fo"])
+def test_a_file_name_holding_a_nul_byte_exits_3(capsys, tmp_path, monkeypatch, argv):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(SIX_VERTEX_GRAPH_TEXT)
+    # the output name is refused before the instance is built
+    monkeypatch.setattr(cli, "reduce", lambda *_: pytest.fail("reduce() was called"))
+    code, out, err = run(capsys, *(a.format(graph=graph) for a in argv))
     assert (code, out) == (3, "")
     assert err == "error: file name 'a\\x00b' holds a NUL byte\n"
 
