@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -177,16 +178,15 @@ class MultisetHalves:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dot", _as_int_tuple(self.dot, "dot half"))
-        bar = []
-        for block in self.bar:
-            values = _as_int_tuple(block, "bar block")
-            if not values:
-                raise ValidationError("bar blocks must be non-empty")
-            bar.append(values)
-        object.__setattr__(self, "bar", tuple(bar))
-        for v in self.flatten():
-            if v < 1:
-                raise ValidationError(f"halves must contain positive values, got {v}")
+        object.__setattr__(self, "bar", tuple(map(tuple, self.bar)))
+        # blocks are checked in order: a bad value before the first empty block wins
+        cut = self.bar.index(()) if () in self.bar else len(self.bar)
+        values = _as_int_tuple(chain.from_iterable(self.bar[:cut]), "bar block")
+        if cut < len(self.bar):
+            raise ValidationError("bar blocks must be non-empty")
+        if min(chain(self.dot, values), default=1) < 1:
+            v = next(v for v in chain(self.dot, values) if v < 1)
+            raise ValidationError(f"halves must contain positive values, got {v}")
 
     def flatten(self) -> tuple[int, ...]:
         """All values in reading order: the dot half, then every bar block."""

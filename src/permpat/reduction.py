@@ -9,7 +9,8 @@ independent set of size k:
   half lists vertex indices (1..k on the pattern side, 1..l on the text
   side); the bar half encodes pairs {i, j} as blocks (i, j, i), all pairs
   on the pattern side and exactly the non-edges on the text side, in
-  lexicographic order.
+  lexicographic order.  So the pattern halves are the text halves of the
+  edgeless graph on k vertices.
 * stage 2 eliminates repeated values.  Each value j owns a private
   interval: the dot occurrence of j becomes the pair (high_j, low_j) and
   the bar occurrences of j become an increasing run strictly between
@@ -32,8 +33,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, count
-from typing import Callable
+from itertools import chain, combinations, count
+from typing import Callable, Iterable
 
 from .core import (
     GeneralizedPattern,
@@ -105,6 +106,11 @@ class ReductionTrace:
             raise ValidationError("pattern blocks do not follow separator + triples layout")
 
 
+def _halves(l: int, pairs: Iterable[tuple[int, int]]) -> MultisetHalves:
+    """Dot half 1..l; one bar block (i, j, i) per pair, in the given order."""
+    return MultisetHalves(tuple(range(1, l + 1)), tuple((i, j, i) for i, j in pairs))
+
+
 def build_multiset_instance(g: Graph, k: int) -> tuple[MultisetHalves, MultisetHalves]:
     """Stage 1: vertex-list halves plus pair-encoding bar halves.
 
@@ -115,21 +121,13 @@ def build_multiset_instance(g: Graph, k: int) -> tuple[MultisetHalves, MultisetH
     if not 1 <= k <= g.l:
         raise KRangeError(f"subset size k={k} outside 1..{g.l}")
     _check_budget(2 * g.l + 3 * (g.l * (g.l - 1) // 2 - g.m) + 4, "|T|")
-    pattern = MultisetHalves(
-        dot=tuple(range(1, k + 1)),
-        bar=tuple((i, j, i) for i, j in combinations(range(1, k + 1), 2)),
-    )
-    text = MultisetHalves(
-        dot=tuple(range(1, g.l + 1)),
-        bar=tuple((i, j, i) for i, j in g.non_edges()),
-    )
-    return pattern, text
+    return _halves(k, combinations(range(1, k + 1), 2)), _halves(g.l, g.non_edges())
 
 
 def _bar_counts(h: MultisetHalves) -> Counter:
     if len(set(h.dot)) != len(h.dot):
         raise ValidationError("dot half has repeated values; cannot deduplicate")
-    return Counter(v for block in h.bar for v in block)
+    return Counter(chain.from_iterable(h.bar))
 
 
 def deduplicate(h: MultisetHalves) -> MultisetHalves:
@@ -188,6 +186,12 @@ def deduplicate_with_reals(
     )
 
 
+def _spliced(h: MultisetHalves) -> tuple[int, ...]:
+    """The dot half, the separator above every value, then the bar blocks."""
+    top = max(chain(h.dot, chain.from_iterable(h.bar)))
+    return (*h.dot, top + 3, top + 2, top + 1, top + 4, *chain.from_iterable(h.bar))
+
+
 def attach_separator(
     pattern_halves: MultisetHalves, text_halves: MultisetHalves
 ) -> tuple[GeneralizedPattern, Permutation]:
@@ -197,22 +201,14 @@ def attach_separator(
     pattern side the separator is one adjacency block and every bar block
     becomes an adjacency block; the text is a plain permutation.
     """
-    p_max = max(pattern_halves.flatten())
-    p_values = list(pattern_halves.dot)
-    p_values += [p_max + 3, p_max + 2, p_max + 1, p_max + 4]
-    blocks = [(len(pattern_halves.dot) + 1, len(pattern_halves.dot) + 4)]
+    start = len(pattern_halves.dot) + 1
+    blocks = [(start, start + 3)]
+    start += 4
     for block in pattern_halves.bar:
-        start = len(p_values) + 1
-        p_values.extend(block)
         blocks.append((start, start + len(block) - 1))
-    pattern = GeneralizedPattern(tuple(p_values), tuple(blocks))
-
-    t_max = max(text_halves.flatten())
-    t_values = list(text_halves.dot)
-    t_values += [t_max + 3, t_max + 2, t_max + 1, t_max + 4]
-    for block in text_halves.bar:
-        t_values.extend(block)
-    return pattern, Permutation(tuple(t_values))
+        start += len(block)
+    pattern = GeneralizedPattern(_spliced(pattern_halves), tuple(blocks))
+    return pattern, Permutation(_spliced(text_halves))
 
 
 def reduce(g: Graph, k: int) -> ReductionTrace:

@@ -61,6 +61,12 @@ def test_match_all(capsys):
     assert out == "(1,2,4)\n(2,3,5)\n"
 
 
+@pytest.mark.parametrize("engine", matcher.ENGINES)
+def test_match_all_without_an_embedding_prints_nothing_and_exits_1(capsys, engine):
+    assert run(capsys, "match", "-p", "[3 1 2]", "-t", "53142", "--all",
+               "--engine", engine) == (1, "", "")
+
+
 def test_match_prints_one_position_embeddings_without_a_trailing_comma(capsys):
     assert run(capsys, "match", "-p", "1", "-t", "2 1", "--all") == (0, "(1)\n(2)\n", "")
     for engine in ["auto", "brute", "backtrack", "fo"]:

@@ -164,6 +164,15 @@ def test_bijection_errors_name_the_first_offence_by_position():
         "halves must contain positive values, got 0")
 
 
+def test_halves_errors_name_the_first_offence_in_reading_order():
+    def halves(bar):
+        return _message(lambda b: MultisetHalves((1,), b), bar)
+
+    assert halves(((), (True,))) == "bar blocks must be non-empty"
+    assert halves(((True,), ())) == "bar block must contain integers, got True"
+    assert halves(((2, 0, -5),)) == "halves must contain positive values, got 0"
+
+
 def test_int_subclasses_other_than_bool_are_accepted():
     values = (_Rank.TWO, _Rank.ONE)
     assert Permutation(values).values == (2, 1)
