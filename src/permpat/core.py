@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -179,13 +179,15 @@ class MultisetHalves:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dot", _as_int_tuple(self.dot, "dot half"))
         object.__setattr__(self, "bar", tuple(map(tuple, self.bar)))
-        # blocks are checked in order: a bad value before the first empty block wins
+        # blocks are checked in order, without copying their values: a bad
+        # value before the first empty block wins; _as_int_tuple only names it
         cut = self.bar.index(()) if () in self.bar else len(self.bar)
-        values = _as_int_tuple(chain.from_iterable(self.bar[:cut]), "bar block")
+        if not set(map(type, chain.from_iterable(islice(self.bar, cut)))) <= {int}:
+            _as_int_tuple(chain.from_iterable(islice(self.bar, cut)), "bar block")
         if cut < len(self.bar):
             raise ValidationError("bar blocks must be non-empty")
-        if min(chain(self.dot, values), default=1) < 1:
-            v = next(v for v in chain(self.dot, values) if v < 1)
+        if min(chain(self.dot, chain.from_iterable(self.bar)), default=1) < 1:
+            v = next(v for v in chain(self.dot, chain.from_iterable(self.bar)) if v < 1)
             raise ValidationError(f"halves must contain positive values, got {v}")
 
     def flatten(self) -> tuple[int, ...]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, compress
 
 from .core import GeneralizedPattern, Permutation, ValidationError, _check_budget
@@ -115,6 +116,22 @@ def encode_formula(p: GeneralizedPattern) -> FoFormula:
     return FoFormula(k, frozenset(pos), frozenset(neg), frozenset(adj))
 
 
+@lru_cache(maxsize=256)  # room for one exhaustive verify group's formulas
+def _literals_by_variable(
+    k: int, pos_literals: frozenset, neg_literals: frozenset
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per variable j, the variables i of a formula's literals (i, j), kept
+    for reuse across texts, as (pos_by_j, neg_by_j): positive ones, then
+    negated ones, each indexed by j in 0..k."""
+    pos_by_j: list[list[int]] = [[] for _ in range(k + 1)]
+    neg_by_j: list[list[int]] = [[] for _ in range(k + 1)]
+    for i, j in pos_literals:
+        pos_by_j[j].append(i)
+    for i, j in neg_literals:
+        neg_by_j[j].append(i)
+    return tuple(map(tuple, pos_by_j)), tuple(map(tuple, neg_by_j))
+
+
 def model_check(t: Permutation, f: FoFormula) -> tuple[int, ...] | None:
     """The lexicographically least satisfying assignment, or None.
 
@@ -128,12 +145,7 @@ def model_check(t: Permutation, f: FoFormula) -> tuple[int, ...] | None:
     k = f.var_count
     if k > n:
         return None
-    pos_by_j: list[list[int]] = [[] for _ in range(k + 1)]
-    neg_by_j: list[list[int]] = [[] for _ in range(k + 1)]
-    for i, j in f.pos_literals:
-        pos_by_j[j].append(i)
-    for i, j in f.neg_literals:
-        neg_by_j[j].append(i)
+    pos_by_j, neg_by_j = _literals_by_variable(k, f.pos_literals, f.neg_literals)
     adj = f.adj_literals
     assignment = [0] * (k + 1)
     # the explicit stack: candidate[j] is the next value to try for x_j

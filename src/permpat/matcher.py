@@ -15,10 +15,12 @@ order:
   spans and value-consecutive index pairs, made once per pattern and
   cached); it is the oracle and refuses to run past a candidate budget.
   ``backtrack`` (and ``auto``) lays adjacency blocks down as whole units,
-  left to right from an explicit stack, pruned by three rules set up once
-  per query (see ``_iter_backtracking``); it is the workhorse and carries
-  no budget.  The two engines share no code; each yields its tuples ready
-  for output, never re-based or re-checked.
+  left to right from an explicit stack, reading one tuple of the pattern's
+  search plan (``_search_plan``: one per unit, made once per pattern and
+  cached) per node.  Three rules prune it, set up per text in one
+  right-to-left pass over the units (see ``_iter_backtracking``); it is
+  the workhorse and carries no budget.  The two engines share no code;
+  each yields its tuples ready for output, never re-based or re-checked.
 * ``match_dispatch`` is the one place a ``Mode`` is applied: DECIDE takes
   the first embedding (the lexicographically least) or None, COUNT counts
   the stream, ENUMERATE_ALL lists it.  Its ``auto`` engine decides the
@@ -189,49 +191,32 @@ def _factor_starts(order: tuple[int, ...], tv: tuple[int, ...]) -> list[int]:
 @lru_cache(maxsize=256)
 def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
     """The text-independent part of a backtracking search, kept for reuse
-    across texts, as (units, below, above, windows, orders):
+    across texts, as one tuple per placement unit
+    (``GeneralizedPattern.units``), (start, length, below, above, tests,
+    order):
 
-    * units: the placement units, ``GeneralizedPattern.units``;
-    * below, above: the nearest earlier value neighbours, see
-      ``_value_neighbours``;
-    * windows: per unit, its window tests as (offset, below, above).  A
-      block skips neighbours inside itself, since order-isomorphism of its
-      start already implies them;
-    * orders: per unit, its offsets sorted by value; () for a singleton.
+    * start, length: the unit's first 0-based pattern index and its length;
+    * below, above: the nearest earlier value neighbours of its first
+      index (``_value_neighbours``), the one test a singleton makes;
+    * tests: the unit's window tests as (offset, below, above).  A block
+      skips neighbours inside itself, since order-isomorphism of its start
+      already implies them;
+    * order: a block's offsets sorted by value; () for a singleton.
     """
     pv = pattern.values
     k = len(pv)
-    units = pattern.units
     below, above = _value_neighbours(pv)
-    windows = []
-    orders = []
-    for p, length in units:
+    plan = []
+    for p, length in pattern.units:
         tests = []
         for d in range(length):
             lo = k if p <= below[p + d] < p + length else below[p + d]
             hi = k + 1 if p <= above[p + d] < p + length else above[p + d]
             if lo != k or hi != k + 1:
                 tests.append((d, lo, hi))
-        windows.append(tuple(tests))
-        orders.append(tuple(sorted(range(length), key=lambda d: pv[p + d]))
-                      if length > 1 else ())
-    return units, tuple(below), tuple(above), tuple(windows), tuple(orders)
-
-
-def _candidate_starts(
-    orders: tuple[tuple[int, ...], ...], tv: tuple[int, ...]
-) -> list[Sequence[int]]:
-    """Per placement unit, the sorted 0-based text starts it may take: every
-    position for a singleton (empty order), the order-isomorphic factors
-    for a block.  One pass over the units; blocks of one order share one
-    scan of the text, made where the first of them is reached."""
-    scans: dict[tuple[int, ...], Sequence[int]] = {(): range(len(tv))}
-    starts = []
-    for order in orders:
-        if order not in scans:
-            scans[order] = _factor_starts(order, tv)
-        starts.append(scans[order])
-    return starts
+        order = tuple(sorted(range(length), key=lambda d: pv[p + d])) if length > 1 else ()
+        plan.append((p, length, below[p], above[p], tuple(tests), order))
+    return tuple(plan)
 
 
 def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterator[tuple[int, ...]]:
@@ -240,38 +225,41 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
     Units are placed left to right, each at its candidate starts in
     increasing order, so embeddings come out lexicographically.  An explicit
     stack of per-unit scan indices replaces recursion, so pattern length is
-    bounded by memory only.  Three rules, set up once per query, prune the
-    search:
+    bounded by memory only.  Three rules prune the search:
 
     * value window: a pattern index fits a text value v iff v lies strictly
       between the text values at its nearest earlier value neighbours
       (``_value_neighbours``), one test instead of one per earlier index;
     * block candidates: a block only starts where the text factor is
-      order-isomorphic to it (``_candidate_starts``; order-preserving
-      pattern matching, Kubica et al. 2013, Kim et al. 2014), so inside a
-      block only neighbours outside it are tested;
-    * latest feasible start: one right-to-left pass bounds each unit's scan
-      by the last start that leaves room for candidates of every later
-      unit, and ends the search at once if some unit has none.
+      order-isomorphic to it (``_factor_starts``; order-preserving pattern
+      matching, Kubica et al. 2013, Kim et al. 2014), so inside a block
+      only neighbours outside it are tested;
+    * latest feasible start: one right-to-left pass over the units, per
+      text, makes each unit's candidates and finds the last that leaves
+      room for candidates of every later unit.  It scans for a block's
+      factors where the first block of that order is reached, so blocks of
+      one shape share one scan, and ends the search at the first unit with
+      no feasible start, before any earlier block is scanned.
     """
     tv = text.values
     k, n = len(pattern.values), len(tv)
-    if k > n:
-        return
-    units, below, above, windows, orders = _search_plan(pattern)
-    nu = len(units)
-    starts = _candidate_starts(orders, tv)
-    # stop[u]: index in starts[u] of the latest start that still leaves
-    # room for every later unit, found right to left
-    stop = []
+    plan = _search_plan(pattern)
+    nu = len(plan)
+    # starts[u]: unit u's sorted 0-based candidate starts; stop[u]: the
+    # index in starts[u] of the latest that leaves room for every later unit
+    starts: list[Sequence[int]] = [()] * nu
+    stop = [0] * nu
+    scans: dict[tuple[int, ...], Sequence[int]] = {(): range(n)}
     bound = n
-    for (_, length), cand in zip(reversed(units), reversed(starts)):
-        last = bisect_right(cand, bound - length) - 1
+    for u in range(nu - 1, -1, -1):
+        _, length, _, _, _, order = plan[u]
+        if order not in scans:
+            scans[order] = _factor_starts(order, tv)
+        cand = starts[u] = scans[order]
+        last = stop[u] = bisect_right(cand, bound - length) - 1
         if last < 0:
             return
-        stop.append(last)
         bound = cand[last]
-    stop.reverse()
 
     pos = [0] * k  # 1-based text position per pattern index; output only
     # text value at each placed pattern index, then the two "none" sentinels
@@ -279,10 +267,10 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
     scan = [0] * nu  # per unit, the index in starts[u] to try next
     u = 0
     while u >= 0:
-        p, length = units[u]
+        p, length, below, above, tests, _ = plan[u]
         i, last = scan[u], stop[u]
         if length == 1:
-            lo_v, hi_v = val[below[p]], val[above[p]]
+            lo_v, hi_v = val[below], val[above]
             while i <= last and not lo_v < tv[i] < hi_v:
                 i += 1
             if i > last:
@@ -293,7 +281,6 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
             val[p] = tv[s]
         else:
             cand = starts[u]
-            tests = windows[u]
             while i <= last:
                 s = cand[i]
                 for d, lo, hi in tests:

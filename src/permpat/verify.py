@@ -216,21 +216,18 @@ _ALT_ASSIGN = lambda j, t, m: j + 0.45 + 0.4 * t / (m + 1)
 _SEPARATOR_PROBE = GeneralizedPattern((3, 2, 1, 4), ((1, 4),))
 
 
-def _graph_family(max_l: int, samples: int, rng: random.Random) -> list[Graph]:
-    graphs: list[Graph] = []
+def _graph_family(max_l: int, samples: int, rng: random.Random) -> Iterator[Graph]:
+    """Every graph on l vertices while there are at most 64, then samples
+    random ones per l, each made when it is reached."""
     for l in range(1, max_l + 1):
         pair_count = l * (l - 1) // 2
         if 2**pair_count <= 64:
             pairs = list(combinations(range(1, l + 1), 2))
             for mask in range(2**pair_count):
-                edges = frozenset(
-                    pairs[i] for i in range(pair_count) if mask >> i & 1
-                )
-                graphs.append(Graph(l, edges))
+                yield Graph(l, frozenset(pairs[i] for i in range(pair_count) if mask >> i & 1))
         else:
             for _ in range(samples):
-                graphs.append(random_graph(rng, l))
-    return graphs
+                yield random_graph(rng, l)
 
 
 def _selects_independent_set(g: Graph, trace: ReductionTrace, e: tuple[int, ...]) -> bool:

@@ -185,11 +185,11 @@ def test_separator_block_has_exactly_one_candidate_start(reduction_sweep):
     """The backtracker's block-candidate rule sees the separator's uniqueness:
     the stage-3 pattern's one four-position block has a single start."""
     for g, k, trace in reduction_sweep:
-        units, _, _, _, orders = matcher._search_plan(trace.stage3_pattern)
-        separator = [u for u, (_, length) in enumerate(units) if length == 4]
+        plan = matcher._search_plan(trace.stage3_pattern)
+        separator = [order for _, length, _, _, _, order in plan if length == 4]
         assert len(separator) == 1, serialize_pattern(trace.stage3_pattern)
-        starts = matcher._candidate_starts(orders, trace.stage3_text.values)
-        assert len(starts[separator[0]]) == 1, (g, k)
+        starts = matcher._factor_starts(separator[0], trace.stage3_text.values)
+        assert len(starts) == 1, (g, k)
 
 
 def test_criterion_6_multiset_stage_equivalence(reduction_sweep):

@@ -50,10 +50,7 @@ def _imports(path: Path) -> set[str]:
 # matcher.py's two engines: the brute oracle with the embedding check, and
 # the backtracker with its set-up; neither side may call into the other
 BRUTE_SIDE = {"is_valid_embedding", "_iter_bruteforce", "_brute_plan"}
-BACKTRACK_SIDE = {
-    "_iter_backtracking", "_search_plan", "_value_neighbours", "_candidate_starts",
-    "_factor_starts",
-}
+BACKTRACK_SIDE = {"_iter_backtracking", "_search_plan", "_value_neighbours", "_factor_starts"}
 
 
 def _referenced_names(function: ast.FunctionDef) -> set[str]:

@@ -289,29 +289,34 @@ def test_block_candidate_starts_are_the_order_isomorphic_factors():
     for _ in range(200):
         p = random_pattern(rng, rng.randint(2, 6))
         t = random_permutation(rng, rng.randint(1, 12))
-        units, _, _, _, orders = matcher._search_plan(p)
-        starts = matcher._candidate_starts(orders, t.values)
-        assert len(starts) == len(units)
-        for (first, length), found in zip(units, starts):
+        plan = matcher._search_plan(p)
+        assert [(first, length) for first, length, *_ in plan] == list(p.units)
+        for first, length, _, _, _, order in plan:
             if length == 1:
-                assert list(found) == list(range(t.n))
+                assert order == ()
                 continue
             block = tuple(sorted(p.values[first:first + length]).index(v) + 1
                           for v in p.values[first:first + length])
             factor = GeneralizedPattern(block, ((1, length),))
             hits = match_bruteforce(MatchRequest(factor, t, Mode.ENUMERATE_ALL))
-            assert list(found) == [e[0] - 1 for e in hits]
+            assert matcher._factor_starts(order, t.values) == [e[0] - 1 for e in hits]
 
 
-def test_blocks_of_one_shape_share_one_factor_scan(monkeypatch):
-    scanned = []
+@pytest.fixture
+def scanned(monkeypatch):
+    """The block orders the backtracker scans the text for, as it scans them."""
+    orders = []
     factor_starts = matcher._factor_starts
 
     def counted(order, tv):
-        scanned.append(order)
+        orders.append(order)
         return factor_starts(order, tv)
 
     monkeypatch.setattr(matcher, "_factor_starts", counted)
+    return orders
+
+
+def test_blocks_of_one_shape_share_one_factor_scan(scanned):
     rng = random.Random(18)
     for l, k in ((4, 2), (6, 3), (7, 4)):
         edges = frozenset(e for e in combinations(range(1, l + 1), 2) if rng.random() < 0.4)
@@ -321,24 +326,33 @@ def test_blocks_of_one_shape_share_one_factor_scan(monkeypatch):
         assert len(p.blocks) == 1 + k * (k - 1) // 2
         scanned.clear()
         found = next(matcher.iter_embeddings(p, t), None)
-        assert scanned == [(2, 1, 0, 3), (0, 2, 1)]  # the separator, then every triple
+        # one scan per block shape: the separator's and the triples' one
+        assert sorted(scanned) == [(0, 2, 1), (2, 1, 0, 3)]
         assert (found is None) == (find_independent_set(g, k) is None)
         assert found is None or is_valid_embedding(p, t, found)
-    # blocks of distinct shapes: one scan each, in block order
+    # blocks of distinct shapes: one scan each
     scanned.clear()
     p, t = parse_pattern("[1 2] 5 [4 3] [6 8 7]"), parse_permutation("2 1 4 3 5 8 6 7 9")
     assert list(matcher.iter_embeddings(p, t)) == list(matcher.iter_embeddings(p, t, "brute"))
-    assert scanned == [(0, 1), (1, 0), (0, 2, 1)]
+    assert sorted(scanned) == [(0, 1), (0, 2, 1), (1, 0)]
 
 
 def test_unit_without_a_feasible_start_ends_the_search():
     # [3 2] can only start at position 1 of 2 1 3 4, leaving no room before it
     p = parse_pattern("1 [3 2]")
     t = parse_permutation("2 1 3 4")
-    starts = matcher._candidate_starts(matcher._search_plan(p)[4], t.values)
-    assert [list(s) for s in starts] == [[0, 1, 2, 3], [0]]
+    assert [unit[5] for unit in matcher._search_plan(p)] == [(), (1, 0)]
+    assert matcher._factor_starts((1, 0), t.values) == [0]
     assert list(matcher._iter_backtracking(p, t)) == []
     assert match_bruteforce(MatchRequest(p, t, Mode.COUNT)) == 0
+
+
+def test_no_earlier_block_is_scanned_after_a_unit_without_a_feasible_start(scanned):
+    # 1 2 3 4 5 has no descending factor, so [4 3] has no start at all and
+    # the right-to-left set-up ends before it reaches [1 2]
+    p, t = parse_pattern("[1 2] [4 3]"), parse_permutation("1 2 3 4 5")
+    assert list(matcher.iter_embeddings(p, t)) == []
+    assert scanned == [(1, 0)]
 
 
 def _graph_with_answer(l, k, has_independent_set, seed):

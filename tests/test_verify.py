@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -47,6 +48,28 @@ def test_the_engine_suite_makes_each_brute_plan_once():
     matcher._brute_plan.cache_clear()
     suite_engines(max_n=5, max_k=3)
     assert matcher._brute_plan.cache_info().misses == 29
+
+
+def test_the_fo_suite_groups_each_formula_once():
+    # model_check groups a formula's literals once, shared by the formulas
+    # that differ only in adjacency: 1 + 2 + 6 = 9 value orders of the 29
+    # patterns of length at most 3
+    folog._literals_by_variable.cache_clear()
+    suite_fo(max_n=5, max_k=3, samples=0)
+    assert folog._literals_by_variable.cache_info().misses == 9
+
+
+def test_reduction_suite_holds_one_graph_at_a_time():
+    suite_reduction(max_l=3, max_k=1, samples=1, seed=3)  # imports and caches first
+    tracemalloc.start()
+    try:
+        results = suite_reduction(max_l=30, max_k=1, samples=10, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.ok for r in results)
+    # the 335 graphs, all held at once, would take about 2.7 MB
+    assert peak < 2**20
 
 
 def test_reduction_suite_small():
