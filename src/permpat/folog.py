@@ -15,15 +15,15 @@ between the two is a meaningful consistency check, not a tautology.
 An instance's line format costs memory in proportion to its bytes, not to
 its line count, which for the text_less relation alone is n(n-1)/2: its
 lines are made one at a time (``permpat encode-fo`` writes each as it is
-made), and ``parse_instance`` reads its input a chunk of whole lines at a
-time and marks each text_less pair in one table of n x n bytes, which it
-makes only when n^2 is at most the input's length, as it is for every
-instance that has its n(n-1)/2 text_less lines.  Inside a chunk, each run
-of text_less lines in ``export_instance``'s form ("tl <x> <y>", numbers of
-1 to 18 ASCII digits, each line ended by LF), up to 256 lines at a time,
-is read in bulk: one regular expression match, one split and one int()
-pass.  Every other line is read on its own, and only that reader raises
-an error.
+made), and ``parse_instance`` walks its input from where its last read
+ended, holding one read at a time, and marks each text_less pair in one
+table of n x n bytes, which it makes only when n^2 is at most the input's
+length, as it is for every instance that has its n(n-1)/2 text_less lines.
+A run of text_less lines in ``export_instance``'s form ("tl <x> <y>",
+numbers of 1 to 18 ASCII digits, each line ended by LF), up to 256 lines
+at a time, is read in bulk: one regular expression match, one split and
+one int() pass.  Every other line is read on its own, and only that
+reader raises an error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress
 
-from .core import GeneralizedPattern, Permutation, ValidationError, _check_budget
+from .core import GeneralizedPattern, Permutation, ValidationError, _as_int_tuple, _check_budget
 from .textio import ParseError, are_int_tokens
 
 __all__ = [
@@ -46,14 +46,14 @@ __all__ = [
     "parse_instance",
 ]
 
-_CHUNK = 1 << 13  # characters parse_instance takes at a time
 # the characters str.splitlines() ends a line at; a CRLF ends one line
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_END = re.compile(f"\r\n|[{_BREAKS}]")
-# a run of text_less lines as export_instance writes them, from a line start
-# on: numbers of at most 18 digits, which int() reads whatever its limit,
-# and at most 256 lines, whose split fields take about 45 KB
-_TL_RUN = re.compile(f"(?<![^{_BREAKS}])(?:tl [0-9]{{1,18}} [0-9]{{1,18}}\n){{1,256}}")
+# one line without its line end, then the line end, if any
+_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}])?")
+# a run of text_less lines as export_instance writes them: numbers of at
+# most 18 digits, which int() reads whatever its limit, and at most 256
+# lines, whose split fields take about 45 KB
+_TL_RUN = re.compile("(?:tl [0-9]{1,18} [0-9]{1,18}\n){1,256}")
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,11 @@ class FoFormula:
 
     def __post_init__(self) -> None:
         k = self.var_count
-        if not isinstance(k, int) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ValidationError(f"variable count must be a positive integer, got {k!r}")
-        pos = frozenset(tuple(p) for p in self.pos_literals)
-        neg = frozenset(tuple(p) for p in self.neg_literals)
-        adj = frozenset(self.adj_literals)
+        pos = frozenset(_as_int_tuple(p, "order literals") for p in self.pos_literals)
+        neg = frozenset(_as_int_tuple(p, "order literals") for p in self.neg_literals)
+        adj = frozenset(_as_int_tuple(self.adj_literals, "adjacency literals"))
         for i, j in pos | neg:
             if not (1 <= i < j <= k):
                 raise ValidationError(f"literal ({i}, {j}) is not an ordered pair in 1..{k}")
@@ -216,38 +216,24 @@ def export_instance(t: Permutation, f: FoFormula) -> str:
     return "\n".join(_instance_lines(t, f))
 
 
-def _line_chunks(text: str, size: int = _CHUNK) -> Iterator[str]:
-    """text cut into consecutive pieces of whole lines, as
-    ``text.splitlines()`` ends them: each piece runs from where the last
-    one ended to the end of the line holding its size-th character, so
-    every character is copied once."""
-    start = 0
-    while start < len(text):
-        end = _LINE_END.search(text, start + size - 1)
-        cut = end.end() if end else len(text)
-        yield text[start:cut]
-        start = cut
-
-
 def _reads(text: str) -> Iterator[tuple[int, str, bool]]:
-    """The input in file order, as (number of its first line, text, run):
-    each run of ``export_instance``-form text_less lines inside a chunk of
-    ``_line_chunks``, up to 256 lines, as one string with run true, and
-    every other line on its own, without its line end."""
+    """The input in file order, as (number of its first line, text, run),
+    each read from where the last one ended: a run of up to 256
+    ``export_instance``-form text_less lines as one string with run true,
+    otherwise the next line, as ``str.splitlines()`` ends it, without its
+    line end."""
     lineno = 1
-    for chunk in _line_chunks(text):
-        pos = 0
-        while pos < len(chunk):
-            run = _TL_RUN.search(chunk, pos)
-            stop = run.start() if run else len(chunk)
-            for line in chunk[pos:stop].splitlines():
-                yield lineno, line, False
-                lineno += 1
-            if run is None:
-                break
-            yield lineno, run.group(), True
-            lineno += run.group().count("\n")
-            pos = run.end()
+    pos = 0
+    while pos < len(text):
+        m = _TL_RUN.match(text, pos)
+        if m:
+            yield lineno, m.group(), True
+            lineno += m.group().count("\n")
+        else:
+            m = _LINE.match(text, pos)
+            yield lineno, m.group(1), False
+            lineno += 1
+        pos = m.end()
 
 
 def parse_instance(text: str) -> tuple[Permutation, FoFormula]:

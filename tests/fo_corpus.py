@@ -9,8 +9,8 @@ other breaks ``str.splitlines`` knows.  The outcome is the parse result, or
 the exception's type and message.
 
 ``fo_parse_corpus.json`` holds the outcomes of the set-based parser that
-preceded the chunked one, and ``test_folog.py`` checks the current parser
-against them.  To rebuild it from a source tree:
+preceded the table-marking one, and ``test_folog.py`` checks the current
+parser against them.  To rebuild it from a source tree:
 
     PYTHONPATH=<checkout>/src python3 tests/fo_corpus.py > tests/fo_parse_corpus.json
 """

@@ -1,4 +1,4 @@
-import functools
+import collections
 import json
 import os
 import random
@@ -78,6 +78,20 @@ def test_formula_literal_partition_enforced():
         FoFormula(3, frozenset({(1, 2)}), frozenset({(1, 3)}), frozenset())
     with pytest.raises(ValidationError):
         FoFormula(2, frozenset({(1, 2)}), frozenset(), frozenset({2}))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((True, (), (), ()), "variable count must be a positive integer, got True"),
+    ((2, {(True, 2)}, (), ()), "order literals must contain integers, got True"),
+    ((2, {(1.0, 2)}, (), ()), "order literals must contain integers, got 1.0"),
+    ((2, (), {(1, 2)}, {True}), "adjacency literals must contain integers, got True"),
+    ((2, (), {(1, 2)}, {1.0}), "adjacency literals must contain integers, got 1.0"),
+], ids=["bool-var-count", "bool-in-literal", "float-in-literal", "bool-adjacency",
+        "float-adjacency"])
+def test_formula_takes_no_bool_or_float_for_an_integer(args, message):
+    with pytest.raises(ValidationError) as err:
+        FoFormula(*args)
+    assert str(err.value) == message
 
 
 def test_model_check_examples():
@@ -233,29 +247,22 @@ def test_parse_instance_counts_blank_lines_in_line_numbers():
     assert err.value.line == 3
 
 
-def test_the_chunked_line_walk_equals_splitlines():
-    def check(text, size=folog._CHUNK):
-        chunks = list(folog._line_chunks(text, size))
-        assert "".join(chunks) == text, (text, size)
-        # each chunk ends where a line does, and only the last is short
-        assert [line for chunk in chunks for line in chunk.splitlines(True)] == \
-            text.splitlines(True), (text, size)
-        assert all(len(chunk) >= size for chunk in chunks[:-1]), (text, size)
+def test_the_line_walk_equals_splitlines():
+    def check(text):
+        assert _read_lines(text) == list(enumerate(text.splitlines(), start=1)), text
 
     rng = random.Random(18)
     alphabet = ["a", "1", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
-                "\x1e", "\x85", " ", " "]
-    for _ in range(400):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
-        for size in range(1, 9):
-            check(text, size)
-    # lines, and a CRLF, across the default chunk edge
-    edge = folog._CHUNK
-    for text in ("x" * (edge - 1) + "\r\n" + "y" * 3,
-                 "x" * (edge - 2) + "\r\n" + "y" * 3,
-                 "x" * (2 * edge + 5) + "\n\n",
-                 ("tl 1 2\r\n" * edge)[:3 * edge + 1]):
-        check(text)
+                "\x1e", "\x85", " ", " ", "tl 1 2\n"]
+    for _ in range(3200):
+        check("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40))))
+    # long lines, and a CRLF or any other break after 8,191 or 8,192 characters
+    for size in (8191, 8192):
+        for brk in alphabet[4:-1]:
+            check("x" * (size - 1) + brk + "y" * 3)
+            check("x" * (size - 1) + brk)
+    check("x" * 16389 + "\n\n")
+    check(("tl 1 2\r\n" * 8192)[:24577])
 
 
 def _corpus():
@@ -272,9 +279,7 @@ def _first_pair_outside(text, n):
     raise AssertionError("no text_less pair outside 1..n")
 
 
-@pytest.mark.parametrize("size", [folog._CHUNK, 1, 5])
-def test_parse_outcomes_equal_the_golden_corpus(monkeypatch, size):
-    monkeypatch.setattr(folog, "_line_chunks", functools.partial(folog._line_chunks, size=size))
+def test_parse_outcomes_equal_the_golden_corpus():
     renamed = 0
     for text, want in _corpus():
         got = fo_corpus.outcome(text)
@@ -301,36 +306,29 @@ def _run_lines(text):
     return [line for _, raw, run in folog._reads(text) if run for line in raw.splitlines()]
 
 
-@pytest.mark.parametrize("size", [folog._CHUNK, 1, 5, 20])
-def test_the_reads_give_every_line_once_with_its_number(monkeypatch, size):
-    monkeypatch.setattr(folog, "_line_chunks", functools.partial(folog._line_chunks, size=size))
+def test_the_reads_give_every_line_once_with_its_number():
     f = encode_formula(parse_pattern("[2 1] 3"))
     plain = export_instance(_shuffled_text(9), f)
     tl = [i for i, line in enumerate(plain.split("\n")) if line.startswith("tl ")]
-    rng = random.Random(size)
-    for _ in range(30):
+    rng = random.Random(20)
+    for _ in range(120):
         # line breaks of every kind and blank lines next to the runs
         lines = plain.split("\n")
         text = "".join(line + rng.choice(["\n", "\n", "\n", "\r\n", "\x0b", "\x85", "\n\n"])
                        for line in lines)
         assert _read_lines(text) == list(enumerate(text.splitlines(), start=1))
         assert parse_instance(text) == parse_instance(plain)
-    # one chunk cuts a run wherever a chunk ends; the default one holds it
+    # the 36 tl lines read as one run
     assert _run_lines(plain + "\n") == plain.split("\n")[tl[0]:tl[-1] + 1]
-    runs = sum(run for _, _, run in folog._reads(plain))
-    assert runs == 1 if size == folog._CHUNK else runs > 1
+    assert sum(run for _, _, run in folog._reads(plain)) == 1
 
 
-def test_a_run_across_the_default_chunk_edge():
-    t = _shuffled_text(60)  # 1,770 tl lines, two chunks
+def test_a_run_holds_at_most_256_lines():
+    t = _shuffled_text(60)  # 1,770 tl lines
     text = export_instance(t, encode_formula(parse_pattern("1 [3 2]")))
-    assert len(text) > folog._CHUNK
-    chunks = list(folog._line_chunks(text))
-    assert chunks[0].endswith("\n") and chunks[1].startswith("tl ")
     assert _read_lines(text) == list(enumerate(text.splitlines(), start=1))
-    # a run holds at most 256 lines, so a chunk's tl lines take several
     runs = [raw.count("\n") for _, raw, run in folog._reads(text) if run]
-    assert sum(runs) == 1770 and max(runs) == 256 and len(runs) > len(chunks)
+    assert sum(runs) == 1770 and max(runs) == 256 and len(runs) == 7
     assert parse_instance(text) == (t, encode_formula(parse_pattern("1 [3 2]")))
 
 
@@ -465,6 +463,15 @@ def test_parse_instance_keeps_memory_in_proportion_to_its_input():
     text = export_instance(_shuffled_text(200), encode_formula(parse_pattern("[3 1] 2 4")))
     parse_instance(text)  # the first call imports and caches what it needs
     assert _traced_peak(lambda: parse_instance(text)) < 4 * len(text)
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\u2028"], ids=["crlf", "u2028"])
+def test_the_reads_hold_one_line_at_a_time(brk):
+    # no tl line ends in a line feed alone, so no line is read in a run
+    text = export_instance(_shuffled_text(200), encode_formula(parse_pattern("[3 1] 2 4")))
+    text = text.replace("\n", brk)
+    collections.deque(folog._reads(text), maxlen=0)  # the first call compiles what it needs
+    assert _traced_peak(lambda: collections.deque(folog._reads(text), maxlen=0)) < 8 * 1024
 
 
 def test_encode_fo_streams_its_lines(capsys, tmp_path):
