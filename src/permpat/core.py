@@ -3,8 +3,9 @@
 Everything here is 1-based: a permutation of length n contains each value
 1..n exactly once, positions run from 1 to n, and adjacency blocks are
 position intervals [a, b] with b >= a + 1.  All types validate their
-invariants on construction and are immutable afterwards, so instances can
-be shared freely between threads and used as dict keys.
+invariants on construction, raising ValidationError on a value of any
+malformed type or shape, and are immutable afterwards, so instances can be
+shared freely between threads and used as dict keys.
 """
 
 from __future__ import annotations
@@ -45,12 +46,26 @@ def _check_budget(count: int, what: str, budget: int = DEFAULT_BUDGET) -> None:
 
 
 def _as_int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
-    values = tuple(values)
+    try:
+        iter(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence of integers, got {values!r}") from None
+    values = tuple(values)  # the argument itself when it is a tuple
     if not set(map(type, values)) <= {int}:  # a bool, an int subclass or a non-int
         for v in values:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValidationError(f"{what} must contain integers, got {v!r}")
     return values
+
+
+def _int_pair(item: object, what: str) -> tuple[int, int]:
+    try:
+        a, b = item
+    except (TypeError, ValueError):  # not iterable, or not of length 2
+        raise ValidationError(f"{what} must be pairs of integers, got {item!r}") from None
+    if type(a) is not int or type(b) is not int:  # _as_int_tuple names the offender
+        _as_int_tuple((a, b), what)
+    return a, b
 
 
 def _check_bijection(values: Sequence[int], what: str) -> None:
@@ -114,15 +129,7 @@ class GeneralizedPattern:
         object.__setattr__(self, "values", _as_int_tuple(self.values, "pattern"))
         _check_bijection(self.values, "pattern")
         k = len(self.values)
-        blocks = []
-        for interval in self.blocks:
-            a, b = interval
-            if isinstance(a, bool) or isinstance(b, bool) or not (
-                isinstance(a, int) and isinstance(b, int)
-            ):
-                raise ValidationError(f"block bounds must be integers, got {interval!r}")
-            blocks.append((a, b))
-        blocks.sort()
+        blocks = sorted(_int_pair(interval, "block bounds") for interval in self.blocks)
         prev_end = 0
         for a, b in blocks:
             if not (1 <= a <= k and 1 <= b <= k):
@@ -190,16 +197,6 @@ class MultisetHalves:
             v = next(v for v in chain(self.dot, chain.from_iterable(self.bar)) if v < 1)
             raise ValidationError(f"halves must contain positive values, got {v}")
 
-    def flatten(self) -> tuple[int, ...]:
-        """All values in reading order: the dot half, then every bar block."""
-        out = list(self.dot)
-        for block in self.bar:
-            out.extend(block)
-        return tuple(out)
-
-    def __len__(self) -> int:
-        return len(self.dot) + sum(len(block) for block in self.bar)
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -213,11 +210,7 @@ class Graph:
             raise ValidationError(f"vertex count must be a non-negative integer, got {self.l!r}")
         normalized = set()
         for edge in self.edges:
-            u, v = edge
-            if isinstance(u, bool) or isinstance(v, bool) or not (
-                isinstance(u, int) and isinstance(v, int)
-            ):
-                raise ValidationError(f"edge endpoints must be integers, got {edge!r}")
+            u, v = _int_pair(edge, "edge endpoints")
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
             if not (1 <= u <= self.l and 1 <= v <= self.l):

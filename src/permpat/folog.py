@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress
 
-from .core import GeneralizedPattern, Permutation, ValidationError, _as_int_tuple, _check_budget
+from .core import GeneralizedPattern, Permutation, ValidationError
+from .core import _as_int_tuple, _check_budget, _int_pair
 from .textio import ParseError, are_int_tokens
 
 __all__ = [
@@ -52,7 +53,7 @@ _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}])?")
 # a run of text_less lines as export_instance writes them: numbers of at
 # most 18 digits, which int() reads whatever its limit, and at most 256
-# lines, whose split fields take about 45 KB
+# lines, whose match holds about 56 KB of regex state and split fields 45 KB
 _TL_RUN = re.compile("(?:tl [0-9]{1,18} [0-9]{1,18}\n){1,256}")
 
 
@@ -70,8 +71,8 @@ class FoFormula:
         k = self.var_count
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ValidationError(f"variable count must be a positive integer, got {k!r}")
-        pos = frozenset(_as_int_tuple(p, "order literals") for p in self.pos_literals)
-        neg = frozenset(_as_int_tuple(p, "order literals") for p in self.neg_literals)
+        pos = frozenset(_int_pair(p, "order literals") for p in self.pos_literals)
+        neg = frozenset(_int_pair(p, "order literals") for p in self.neg_literals)
         adj = frozenset(_as_int_tuple(self.adj_literals, "adjacency literals"))
         for i, j in pos | neg:
             if not (1 <= i < j <= k):

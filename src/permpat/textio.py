@@ -40,9 +40,6 @@ _CLOSE = "]⟩"
 
 _TOKEN_RE = re.compile(r"[^\s,]+")
 _DIGITS_RE = re.compile(r"[0-9]+")
-# int() reads every run of at most this many digits, as its digit limit is
-# never set below it
-_ALWAYS_READ = sys.int_info.str_digits_check_threshold
 
 
 class ParseError(ValueError):
@@ -66,8 +63,6 @@ def are_int_tokens(*tokens: str) -> bool:
     joined = "".join(tokens)
     if not (joined.isascii() and joined.isdigit() and all(tokens)):
         return False
-    if len(joined) <= _ALWAYS_READ:
-        return True
     limit = sys.get_int_max_str_digits() or len(joined)
     return len(joined) <= limit or max(map(len, tokens)) <= limit
 
@@ -220,8 +215,7 @@ def parse_graph(text: str) -> tuple[Graph, int | None]:
     optional subset size carried by a "k" line."""
     header: tuple[int, int] | None = None
     k: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -250,10 +244,9 @@ def parse_graph(text: str) -> tuple[Graph, int | None]:
         if not (1 <= u <= l and 1 <= v <= l):
             raise ParseError(f"edge ({u}, {v}) out of range 1..{l}", line=lineno)
         key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if key in edges:
             raise ParseError(f"duplicate edge ({key[0]}, {key[1]})", line=lineno)
-        seen.add(key)
-        edges.append(key)
+        edges.add(key)
     if header is None:
         raise ParseError("missing header 'p <l> <m>'")
     l, m = header

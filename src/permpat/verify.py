@@ -221,13 +221,24 @@ def _graph_family(max_l: int, samples: int, rng: random.Random) -> Iterator[Grap
     random ones per l, each made when it is reached."""
     for l in range(1, max_l + 1):
         pair_count = l * (l - 1) // 2
-        if 2**pair_count <= 64:
+        if pair_count <= 6:  # at most 64 graphs
             pairs = list(combinations(range(1, l + 1), 2))
             for mask in range(2**pair_count):
                 yield Graph(l, frozenset(pairs[i] for i in range(pair_count) if mask >> i & 1))
         else:
             for _ in range(samples):
                 yield random_graph(rng, l)
+
+
+def _reduction_work(max_l: int, max_k: int, samples: int) -> int:
+    """suite_reduction's work: per graph and k, reduce's text values and its oracles' subsets."""
+    work = 0
+    for l in range(1, max_l + 1):
+        pair_count = l * (l - 1) // 2
+        graphs = 2**pair_count if pair_count <= 6 else samples
+        for k in range(1, min(max_k, l) + 1):
+            work += graphs * (2 * l + 3 * pair_count + 4 + 2 * math.comb(l, k))
+    return work
 
 
 def _selects_independent_set(g: Graph, trace: ReductionTrace, e: tuple[int, ...]) -> bool:
@@ -244,6 +255,7 @@ def suite_reduction(
     max_l: int = 6, max_k: int = 3, samples: int = 200, seed: int = 0
 ) -> list[CheckResult]:
     """End-to-end checks of the construction against the subset oracle."""
+    _check_budget(_reduction_work(max_l, max_k, samples), "reduction suite work")
     rng = random.Random(seed)
     end_to_end = CheckResult("independent set vs matcher", _graph_label)
     multiset_oracle = CheckResult("multiset stage vs oracle", _graph_label)

@@ -620,6 +620,18 @@ def test_verify_refuses_exhaustive_bounds_over_the_budget(capsys, monkeypatch,
     assert f"exhaustive (pattern, text) pairs = {pairs} exceeds budget 100000000" in err
 
 
+def test_verify_refuses_reduction_bounds_over_the_budget(capsys, monkeypatch):
+    def not_before_the_budget_check(*args):
+        raise AssertionError(f"built a graph from {args} before the budget check")
+
+    for builder in ("Graph", "random_graph", "reduce"):
+        monkeypatch.setattr(verify, builder, not_before_the_budget_check)
+    code, out, err = run(capsys, "verify", "--suite", "reduction", "--max-l", "200",
+                         "--samples", "200")
+    assert (code, out) == (4, "")
+    assert err == "error: reduction suite work = 1070307363032 exceeds budget 100000000\n"
+
+
 def test_verify_deterministic_output(capsys):
     args = ["verify", "--suite", "fo", "--max-n", "3", "--max-k", "2",
             "--samples", "20", "--seed", "7"]

@@ -16,6 +16,7 @@ from permpat.core import (
     ValidationError,
     _check_budget,
 )
+from permpat.folog import FoFormula
 from permpat.matcher import is_valid_embedding
 from permpat.verify import all_patterns
 
@@ -115,9 +116,8 @@ def test_embedding_must_strictly_increase():
 
 
 def test_multiset_halves_validation():
-    h = MultisetHalves((1, 2), ((1, 2, 1),))
-    assert h.flatten() == (1, 2, 1, 2, 1)
-    assert len(h) == 5
+    h = MultisetHalves((1, 2), [[1, 2, 1]])
+    assert (h.dot, h.bar) == ((1, 2), ((1, 2, 1),))
     with pytest.raises(ValidationError):
         MultisetHalves((0,), ())
     with pytest.raises(ValidationError):
@@ -195,8 +195,46 @@ def test_int_subclasses_other_than_bool_are_accepted():
     assert Permutation(values).values == (2, 1)
     assert GeneralizedPattern(values, ((1, 2),)).values == (2, 1)
     assert _embedding(values[::-1])
-    assert MultisetHalves(values, (values,)).flatten() == (2, 1, 2, 1)
+    h = MultisetHalves(values, (values,))
+    assert (h.dot, h.bar) == ((2, 1), ((2, 1),))
     assert Permutation(values).values[0] is _Rank.TWO
+
+
+SEQUENCES = {
+    "permutation": Permutation,
+    "pattern": GeneralizedPattern,
+    "dot half": MultisetHalves,
+    "embedding": lambda values: is_valid_embedding(
+        GeneralizedPattern((1, 2)), Permutation((1, 2)), values),
+}
+
+
+@pytest.mark.parametrize("what", SEQUENCES)
+def test_a_non_sequence_is_refused_by_name(what):
+    build = SEQUENCES[what]
+    for value, shown in [(5, "5"), (None, "None"), (1.5, "1.5"), (True, "True")]:
+        assert _message(build, value) == f"{what} must be a sequence of integers, got {shown}"
+    assert _message(build, (1, True)) == f"{what} must contain integers, got True"
+    assert build((_Rank.ONE, _Rank.TWO))
+
+
+PAIRS = {
+    "block bounds": lambda pair: GeneralizedPattern((1, 2, 3), (pair,)),
+    "edge endpoints": lambda pair: Graph(3, [pair]),
+    "order literals": lambda pair: FoFormula(2, frozenset({pair}), frozenset(), frozenset()),
+}
+
+
+@pytest.mark.parametrize("what", PAIRS)
+def test_pairs_of_the_wrong_shape_are_refused_by_name(what):
+    build = PAIRS[what]
+    for pair in [(1,), (1, 2, 3), (), 5, None, "123"]:
+        assert _message(build, pair) == f"{what} must be pairs of integers, got {pair!r}"
+    for pair, shown in [((True, 2), "True"), ((1, True), "True"), ((1.0, 2), "1.0"),
+                        ((1, "2"), "'2'"), ("12", "'1'")]:
+        assert _message(build, pair) == f"{what} must contain integers, got {shown}"
+    assert build((_Rank.ONE, _Rank.TWO))
+    assert build(iter([1, 2])) == build((1, 2))  # any iterable of two integers
 
 
 def test_graph_validation():

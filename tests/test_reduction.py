@@ -85,7 +85,7 @@ EXPECTED_TEXT_BAR = (
 def test_deduplicate_worked_example_text():
     _, text = build_multiset_instance(REFERENCE_GRAPH, 3)
     ranked = deduplicate(text)
-    assert len(ranked) == 36
+    assert len(ranked.dot) + sum(map(len, ranked.bar)) == 36
     assert ranked.dot == EXPECTED_TEXT_DOT
     assert ranked.bar == EXPECTED_TEXT_BAR
     # the vertex-1 pair ranks like its pattern-side analogue
@@ -133,14 +133,16 @@ def test_deduplicate_rank_stability_on_arbitrary_halves():
 
 def test_deduplicate_keeps_memory_close_to_its_output():
     _, text = build_multiset_instance(Graph(100, frozenset()), 1)
-    assert len(text) == 14_950
+    assert (len(text.dot), len(text.bar), set(map(len, text.bar))) == (100, 4_950, {3})
     tracemalloc.start()
     try:
         ranked = deduplicate(text)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(ranked) == len(text) + len(text.dot)  # each dot entry becomes a pair
+    # each dot entry becomes a pair; the bar keeps its shape
+    assert len(ranked.dot) == 2 * len(text.dot)
+    assert list(map(len, ranked.bar)) == list(map(len, text.bar))
     assert peak <= 2 * kept
 
 

@@ -1,3 +1,5 @@
+import math
+import random
 import re
 import tracemalloc
 from itertools import permutations
@@ -7,7 +9,9 @@ import pytest
 
 from permpat import folog, matcher, reduction, verify
 from permpat.cli import main
-from permpat.core import DEFAULT_BUDGET, GeneralizedPattern, Graph, Permutation
+from permpat.core import (
+    DEFAULT_BUDGET, BudgetExceededError, GeneralizedPattern, Graph, Permutation
+)
 from permpat.matcher import MatchRequest, Mode, match_dispatch
 from permpat.verify import (
     all_block_configs,
@@ -360,6 +364,29 @@ def test_the_exhaustive_walk_builds_each_group_when_it_reaches_it(monkeypatch):
     assert patterns == [GeneralizedPattern((1,))]
     next(groups)
     assert built[1:] == [((1, 2), ()), ((1, 2), ((1, 2),))]
+
+
+def test_the_reduction_work_bounds_what_the_suite_builds():
+    work = 0
+    for g in verify._graph_family(6, 20, random.Random(0)):
+        text_bound = 2 * g.l + 3 * (g.l * (g.l - 1) // 2) + 4
+        for k in range(1, min(3, g.l) + 1):
+            assert len(reduction.reduce(g, k).stage3_text) <= text_bound
+            work += text_bound + 2 * math.comb(g.l, k)
+    assert work == verify._reduction_work(6, 3, 20)
+    assert verify._reduction_work(6, 4, 200) == 128_632  # verify's defaults
+    assert verify._reduction_work(5, 3, 20) == 11_824  # the crosscheck workload's bounds
+
+
+def test_the_reduction_suite_refuses_over_the_budget_at_the_call(monkeypatch):
+    def not_before_the_budget_check(*args):
+        raise AssertionError(f"built a graph from {args} before the budget check")
+
+    for builder in ("Graph", "random_graph", "reduce"):
+        monkeypatch.setattr(verify, builder, not_before_the_budget_check)
+    with pytest.raises(BudgetExceededError) as err:
+        suite_reduction(max_l=200, max_k=4, samples=200)
+    assert str(err.value) == "reduction suite work = 1070307363032 exceeds budget 100000000"
 
 
 def test_verify_prints_a_refuted_check_and_exits_1(monkeypatch, capsys):
