@@ -10,6 +10,7 @@ shared freely between threads and used as dict keys.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -39,18 +40,44 @@ DEFAULT_BUDGET = 10**8
 size refuse to run."""
 
 
+def _shown_digits() -> int:
+    """The most digits a count is printed with: str()'s limit, 4300 where it is off."""
+    return sys.get_int_max_str_digits() or 4300
+
+
 def _check_budget(count: int, what: str, budget: int = DEFAULT_BUDGET) -> None:
-    """The one up-front refusal: BudgetExceededError when count > budget."""
+    """The one up-front refusal: BudgetExceededError when count > budget.  A
+    count too long to print is shown as a bound."""
     if count > budget:
-        raise BudgetExceededError(f"{what} = {count} exceeds budget {budget}")
+        digits = _shown_digits()
+        shown = str(count) if count < 10**digits else f"at least 10^{digits}"
+        raise BudgetExceededError(f"{what} = {shown} exceeds budget {budget}")
 
 
-def _as_int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
+def _sum_while_shown(terms: Iterable[int]) -> int:
+    """sum(terms), or its first partial sum too long to print: any count that
+    large is refused all the same, and shown as a bound."""
+    bound = 10 ** _shown_digits()
+    total = 0
+    for term in terms:
+        total += term
+        if total >= bound:
+            break
+    return total
+
+
+def _as_tuple(values: Iterable, what: str, items: str = "integers") -> tuple:
+    """values as a tuple, the argument itself when it is one; a non-iterable
+    is a ValidationError that names what."""
     try:
         iter(values)
     except TypeError:
-        raise ValidationError(f"{what} must be a sequence of integers, got {values!r}") from None
-    values = tuple(values)  # the argument itself when it is a tuple
+        raise ValidationError(f"{what} must be a sequence of {items}, got {values!r}") from None
+    return tuple(values)
+
+
+def _as_int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
+    values = _as_tuple(values, what)
     if not set(map(type, values)) <= {int}:  # a bool, an int subclass or a non-int
         for v in values:
             if isinstance(v, bool) or not isinstance(v, int):
@@ -66,6 +93,19 @@ def _int_pair(item: object, what: str) -> tuple[int, int]:
     if type(a) is not int or type(b) is not int:  # _as_int_tuple names the offender
         _as_int_tuple((a, b), what)
     return a, b
+
+
+def _add_edge(edges: set[tuple[int, int]], edge: object, l: int) -> None:
+    """The edge rule: edge is a new non-loop pair in 1..l; add it as (smaller, larger)."""
+    u, v = _int_pair(edge, "edge endpoints")
+    if u == v:
+        raise ValidationError(f"self-loop at vertex {u}")
+    if not (1 <= u <= l and 1 <= v <= l):
+        raise ValidationError(f"edge ({u}, {v}) out of range 1..{l}")
+    key = (u, v) if u < v else (v, u)
+    if key in edges:
+        raise ValidationError(f"duplicate edge ({key[0]}, {key[1]})")
+    edges.add(key)
 
 
 def _check_bijection(values: Sequence[int], what: str) -> None:
@@ -129,7 +169,8 @@ class GeneralizedPattern:
         object.__setattr__(self, "values", _as_int_tuple(self.values, "pattern"))
         _check_bijection(self.values, "pattern")
         k = len(self.values)
-        blocks = sorted(_int_pair(interval, "block bounds") for interval in self.blocks)
+        blocks = sorted(_int_pair(interval, "block bounds")
+                        for interval in _as_tuple(self.blocks, "blocks", "pairs"))
         prev_end = 0
         for a, b in blocks:
             if not (1 <= a <= k and 1 <= b <= k):
@@ -185,7 +226,10 @@ class MultisetHalves:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dot", _as_int_tuple(self.dot, "dot half"))
-        object.__setattr__(self, "bar", tuple(map(tuple, self.bar)))
+        bar = _as_tuple(self.bar, "bar half", "blocks")
+        if not set(map(type, bar)) <= {tuple}:  # _as_tuple names a non-iterable block
+            bar = tuple(_as_tuple(block, "bar block") for block in bar)
+        object.__setattr__(self, "bar", bar)
         # blocks are checked in order, without copying their values: a bad
         # value before the first empty block wins; _as_int_tuple only names it
         cut = self.bar.index(()) if () in self.bar else len(self.bar)
@@ -209,16 +253,8 @@ class Graph:
         if isinstance(self.l, bool) or not isinstance(self.l, int) or self.l < 0:
             raise ValidationError(f"vertex count must be a non-negative integer, got {self.l!r}")
         normalized = set()
-        for edge in self.edges:
-            u, v = _int_pair(edge, "edge endpoints")
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-            if not (1 <= u <= self.l and 1 <= v <= self.l):
-                raise ValidationError(f"edge ({u}, {v}) out of range 1..{self.l}")
-            key = (u, v) if u < v else (v, u)
-            if key in normalized:
-                raise ValidationError(f"duplicate edge ({key[0]}, {key[1]})")
-            normalized.add(key)
+        for edge in _as_tuple(self.edges, "edges", "pairs"):
+            _add_edge(normalized, edge, self.l)
         object.__setattr__(self, "edges", frozenset(normalized))
 
     @property

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import chain, compress
 
 from .core import GeneralizedPattern, Permutation, ValidationError
-from .core import _as_int_tuple, _check_budget, _int_pair
+from .core import _as_int_tuple, _as_tuple, _check_budget, _int_pair
 from .textio import ParseError, are_int_tokens
 
 __all__ = [
@@ -71,8 +71,9 @@ class FoFormula:
         k = self.var_count
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ValidationError(f"variable count must be a positive integer, got {k!r}")
-        pos = frozenset(_int_pair(p, "order literals") for p in self.pos_literals)
-        neg = frozenset(_int_pair(p, "order literals") for p in self.neg_literals)
+        pos, neg = (frozenset(_int_pair(p, "order literals")
+                              for p in _as_tuple(literals, "order literals", "pairs"))
+                    for literals in (self.pos_literals, self.neg_literals))
         adj = frozenset(_as_int_tuple(self.adj_literals, "adjacency literals"))
         for i, j in pos | neg:
             if not (1 <= i < j <= k):

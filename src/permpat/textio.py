@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .core import Graph, GeneralizedPattern, Permutation
+from .core import Graph, GeneralizedPattern, Permutation, ValidationError, _add_edge
 
 __all__ = [
     "ParseError",
@@ -213,7 +213,7 @@ def _int_fields(fields: list[str], lineno: int, what: str) -> list[int]:
 def parse_graph(text: str) -> tuple[Graph, int | None]:
     """Parse the line-oriented graph format; returns the graph and the
     optional subset size carried by a "k" line."""
-    header: tuple[int, int] | None = None
+    header: tuple[int, ...] | None = None
     k: int | None = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -224,8 +224,7 @@ def parse_graph(text: str) -> tuple[Graph, int | None]:
         if header is None:
             if fields[0] != "p" or len(fields) != 3:
                 raise ParseError("expected header 'p <l> <m>'", line=lineno)
-            l, m = _int_fields(fields[1:], lineno, "header")
-            header = (l, m)
+            header = tuple(_int_fields(fields[1:], lineno, "header"))
             continue
         if fields[0] == "k" and not edges and k is None:
             if len(fields) != 2:
@@ -237,16 +236,10 @@ def parse_graph(text: str) -> tuple[Graph, int | None]:
             continue
         if len(fields) != 2:
             raise ParseError("edge: expected '<u> <v>'", line=lineno)
-        l = header[0]
-        u, v = _int_fields(fields, lineno, "edge")
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", line=lineno)
-        if not (1 <= u <= l and 1 <= v <= l):
-            raise ParseError(f"edge ({u}, {v}) out of range 1..{l}", line=lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in edges:
-            raise ParseError(f"duplicate edge ({key[0]}, {key[1]})", line=lineno)
-        edges.add(key)
+        try:  # _int_fields raises its own ParseError
+            _add_edge(edges, _int_fields(fields, lineno, "edge"), header[0])
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno) from None
     if header is None:
         raise ParseError("missing header 'p <l> <m>'")
     l, m = header

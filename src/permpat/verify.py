@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Callable, Iterator
 
-from .core import GeneralizedPattern, Graph, Permutation, _check_budget
+from .core import GeneralizedPattern, Graph, Permutation, _check_budget, _sum_while_shown
 from .matcher import MatchRequest, Mode, is_valid_embedding, lis_length, match_dispatch
 from .folog import FoFormula, encode_formula, model_check
 from .reduction import (
@@ -144,8 +144,8 @@ def _exhaustive(
     2^(k-1) patterns, classical first, and a lazy walk over the texts of length
     ≤ max_n.  Raises BudgetExceededError at the call, before building any, when
     the pairs (Σ k!·2^(k-1) patterns × Σ n! texts) exceed the budget."""
-    patterns = sum(math.factorial(k) << (k - 1) for k in range(1, max_k + 1))
-    pairs = patterns * sum(map(math.factorial, range(1, max_n + 1)))
+    patterns = _sum_while_shown(math.factorial(k) << (k - 1) for k in range(1, max_k + 1))
+    pairs = patterns * _sum_while_shown(map(math.factorial, range(1, max_n + 1)))
     _check_budget(pairs, "exhaustive (pattern, text) pairs")
     return (
         ([GeneralizedPattern(values, cfg) for cfg in all_block_configs(k)],
@@ -216,29 +216,30 @@ _ALT_ASSIGN = lambda j, t, m: j + 0.45 + 0.4 * t / (m + 1)
 _SEPARATOR_PROBE = GeneralizedPattern((3, 2, 1, 4), ((1, 4),))
 
 
-def _graph_family(max_l: int, samples: int, rng: random.Random) -> Iterator[Graph]:
-    """Every graph on l vertices while there are at most 64, then samples
-    random ones per l, each made when it is reached."""
+def _graph_family(max_l: int, samples: int, rng: random.Random | None
+                  ) -> Iterator[tuple[int, int, Iterator[Graph]]]:
+    """Per vertex count l up to max_l: l, its graph count and its graphs, each
+    made when reached (walk them in order).  Every graph while there are at
+    most 64, else samples drawn by rng; with no samples it ends at l = 4."""
     for l in range(1, max_l + 1):
         pair_count = l * (l - 1) // 2
         if pair_count <= 6:  # at most 64 graphs
             pairs = list(combinations(range(1, l + 1), 2))
-            for mask in range(2**pair_count):
-                yield Graph(l, frozenset(pairs[i] for i in range(pair_count) if mask >> i & 1))
+            yield l, 2**pair_count, (
+                Graph(l, frozenset(pairs[i] for i in range(pair_count) if mask >> i & 1))
+                for mask in range(2**pair_count)
+            )
+        elif not samples:
+            return
         else:
-            for _ in range(samples):
-                yield random_graph(rng, l)
+            yield l, samples, (random_graph(rng, l) for _ in range(samples))
 
 
 def _reduction_work(max_l: int, max_k: int, samples: int) -> int:
     """suite_reduction's work: per graph and k, reduce's text values and its oracles' subsets."""
-    work = 0
-    for l in range(1, max_l + 1):
-        pair_count = l * (l - 1) // 2
-        graphs = 2**pair_count if pair_count <= 6 else samples
-        for k in range(1, min(max_k, l) + 1):
-            work += graphs * (2 * l + 3 * pair_count + 4 + 2 * math.comb(l, k))
-    return work
+    return sum(count * (2 * l + 3 * (l * (l - 1) // 2) + 4 + 2 * math.comb(l, k))
+               for l, count, _ in _graph_family(max_l, samples, None)
+               for k in range(1, min(max_k, l) + 1))
 
 
 def _selects_independent_set(g: Graph, trace: ReductionTrace, e: tuple[int, ...]) -> bool:
@@ -263,7 +264,7 @@ def suite_reduction(
     separator = CheckResult("separator uniqueness", _graph_label)
     sizes = CheckResult("size identities", _graph_label)
     ranks = CheckResult("rank stability", _graph_label)
-    for g in _graph_family(max_l, samples, rng):
+    for g in chain.from_iterable(graphs for _, _, graphs in _graph_family(max_l, samples, rng)):
         for k in range(1, min(max_k, g.l) + 1):
             trace = reduce(g, k)
             expected = find_independent_set(g, k) is not None

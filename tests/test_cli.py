@@ -632,6 +632,29 @@ def test_verify_refuses_reduction_bounds_over_the_budget(capsys, monkeypatch):
     assert err == "error: reduction suite work = 1070307363032 exceeds budget 100000000\n"
 
 
+def test_verify_reduction_without_samples_ends_at_four_vertices(capsys):
+    at_four = run(capsys, "verify", "--suite", "reduction", "--max-l", "4")
+    assert at_four[0] == 0
+    assert run(capsys, "verify", "--suite", "reduction", "--samples", "0",
+               "--max-l", "1000000000") == at_four
+
+
+def test_counts_too_long_to_print_are_refused_as_bounds(capsys, tmp_path):
+    (tmp_path / "p").write_text(" ".join(map(str, range(1, 7001))))
+    (tmp_path / "t").write_text(" ".join(map(str, range(1, 15001))))
+    (tmp_path / "g").write_text("p 1" + "0" * 3000 + " 0\nk 1\n")
+    over = "= at least 10^4300 exceeds budget 100000000\n"
+    for argv, what in [
+        (["verify", "--suite", "engines", "--max-n", "3000"], "exhaustive (pattern, text) pairs"),
+        (["verify", "--suite", "fo", "--max-k", "2000"], "exhaustive (pattern, text) pairs"),
+        (["verify", "--max-n", "1000000000"], "exhaustive (pattern, text) pairs"),
+        (["match", "--engine", "brute", "-p", f"@{tmp_path / 'p'}", "-t", f"@{tmp_path / 't'}"],
+         "C(15000, 7000)"),
+        (["reduce", str(tmp_path / "g"), "-o", str(tmp_path / "out")], "|T|"),
+    ]:
+        assert run(capsys, *argv) == (4, "", f"error: {what} {over}")
+
+
 def test_verify_deterministic_output(capsys):
     args = ["verify", "--suite", "fo", "--max-n", "3", "--max-k", "2",
             "--samples", "20", "--seed", "7"]

@@ -1,7 +1,7 @@
 import enum
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, repeat
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +15,7 @@ from permpat.core import (
     Permutation,
     ValidationError,
     _check_budget,
+    _sum_while_shown,
 )
 from permpat.folog import FoFormula
 from permpat.matcher import is_valid_embedding
@@ -176,8 +177,9 @@ def test_halves_check_their_bar_values_without_copying_them():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the new tuple of 44,850 block references takes 0.36 MB; a flat copy
-    # of the 134,550 bar values would add about 1.1 MB
+    # a tuple of tuples is kept as it is; a new tuple of its 44,850 block
+    # references would take 0.36 MB, a flat copy of the 134,550 bar values
+    # about 1.1 MB more
     assert peak < 0.7 * 2**20
 
 
@@ -235,6 +237,19 @@ def test_pairs_of_the_wrong_shape_are_refused_by_name(what):
         assert _message(build, pair) == f"{what} must contain integers, got {shown}"
     assert build((_Rank.ONE, _Rank.TWO))
     assert build(iter([1, 2])) == build((1, 2))  # any iterable of two integers
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GeneralizedPattern((1, 2), 5), "blocks must be a sequence of pairs, got 5"),
+    (lambda: Graph(3, 5), "edges must be a sequence of pairs, got 5"),
+    (lambda: FoFormula(2, 5, (), ()), "order literals must be a sequence of pairs, got 5"),
+    (lambda: MultisetHalves((1,), (5,)), "bar block must be a sequence of integers, got 5"),
+    (lambda: MultisetHalves((1,), 5), "bar half must be a sequence of blocks, got 5"),
+], ids=["pattern blocks", "graph edges", "fo literals", "bar block", "bar half"])
+def test_a_non_iterable_collection_is_refused_by_name(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_graph_validation():
@@ -313,3 +328,16 @@ def test_the_budget_check_admits_the_budget_itself_and_refuses_one_more():
     assert str(err.value) == "items = 6 exceeds budget 5"
     with pytest.raises(BudgetExceededError, match="exceeds budget 100000000$"):
         _check_budget(DEFAULT_BUDGET + 1, "items")
+
+
+def test_a_count_too_long_to_print_is_refused_as_a_bound():
+    assert _sum_while_shown(range(5)) == 10
+    assert _sum_while_shown(repeat(10**4299)) == 10**4300  # stops there
+    shown = 10**4300 - 1  # 4,300 digits, str()'s limit
+    with pytest.raises(BudgetExceededError) as err:
+        _check_budget(shown, "items")
+    assert str(err.value) == f"items = {shown} exceeds budget 100000000"
+    for count in (10**4300, 3**100_000):
+        with pytest.raises(BudgetExceededError) as err:
+            _check_budget(count, "items")
+        assert str(err.value) == "items = at least 10^4300 exceeds budget 100000000"

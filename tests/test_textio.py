@@ -116,6 +116,31 @@ def test_parse_graph_small_and_errors():
         parse_graph("p 2 0\nk 0")
 
 
+EDGE_ERRORS = {  # the edges, their lines in a file, core's message, the reader's own
+    "not a pair": ([(1, 2, 3)], "1 2 3",
+                   "edge endpoints must be pairs of integers, got (1, 2, 3)",
+                   "edge: expected '<u> <v>'"),
+    "bool endpoint": ([(True, 2)], "True 2", "edge endpoints must contain integers, got True",
+                      "edge: expected an integer, got 'True'"),
+    "self-loop": ([(2, 2)], "2 2", "self-loop at vertex 2", None),
+    "out of range": ([(1, 4)], "1 4", "edge (1, 4) out of range 1..3", None),
+    "duplicate": ([(1, 2), (2, 1)], "1 2\n2 1", "duplicate edge (1, 2)", None),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_ERRORS)
+def test_an_edge_error_reads_the_same_from_graph_and_from_a_file(case):
+    """The reader refuses what its grammar cannot carry by itself; core's
+    edge rule words the rest for both, and the reader adds the line."""
+    edges, lines, message, grammar = EDGE_ERRORS[case]
+    with pytest.raises(ValidationError) as err:
+        Graph(3, edges)
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as err:
+        parse_graph(f"p 3 {len(edges)}\n{lines}\n")
+    assert str(err.value) == f"{grammar or message} (line {1 + len(edges)})"
+
+
 def test_parse_graph_comments_and_crlf():
     g, k = parse_graph("# a comment\r\np 2 1\r\n# another\r\n1 2\r\n")
     assert g.m == 1 and k is None

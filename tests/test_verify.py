@@ -368,11 +368,16 @@ def test_the_exhaustive_walk_builds_each_group_when_it_reaches_it(monkeypatch):
 
 def test_the_reduction_work_bounds_what_the_suite_builds():
     work = 0
-    for g in verify._graph_family(6, 20, random.Random(0)):
-        text_bound = 2 * g.l + 3 * (g.l * (g.l - 1) // 2) + 4
-        for k in range(1, min(3, g.l) + 1):
-            assert len(reduction.reduce(g, k).stage3_text) <= text_bound
-            work += text_bound + 2 * math.comb(g.l, k)
+    for l, count, graphs in verify._graph_family(6, 20, random.Random(0)):
+        text_bound = 2 * l + 3 * (l * (l - 1) // 2) + 4
+        walked = 0
+        for g in graphs:
+            assert g.l == l
+            walked += 1
+            for k in range(1, min(3, l) + 1):
+                assert len(reduction.reduce(g, k).stage3_text) <= text_bound
+                work += text_bound + 2 * math.comb(l, k)
+        assert walked == count
     assert work == verify._reduction_work(6, 3, 20)
     assert verify._reduction_work(6, 4, 200) == 128_632  # verify's defaults
     assert verify._reduction_work(5, 3, 20) == 11_824  # the crosscheck workload's bounds
