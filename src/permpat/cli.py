@@ -158,16 +158,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    failed = False
-    for r in results:
-        if r.ok:
-            print(f"ok {r.detail}")
-        else:
-            failed = True
-            print(f"FAIL {r.name}: {r.detail}")
-            if r.counterexample:
-                print(f"  counterexample {r.counterexample}")
-    return EXIT_NEGATIVE if failed else EXIT_OK
+    for r in results:  # a check fails exactly when it holds a counterexample
+        print(f"ok {r.detail}" if r.ok
+              else f"FAIL {r.name}: {r.detail}\n  counterexample {r.counterexample}")
+    return EXIT_OK if all(r.ok for r in results) else EXIT_NEGATIVE
 
 
 @cache

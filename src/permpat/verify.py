@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 from typing import Callable, Iterator
 
 from .core import GeneralizedPattern, Graph, Permutation, _check_budget, _sum_while_shown
@@ -44,19 +44,19 @@ __all__ = [
 
 
 def all_block_configs(k: int) -> list[tuple[tuple[int, int], ...]]:
-    """Every legal set of disjoint adjacency blocks on k positions."""
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def go(start: int, acc: list[tuple[int, int]]) -> None:
-        out.append(tuple(acc))
-        for a in range(start, k):
-            for b in range(a + 1, k + 1):
-                acc.append((a, b))
-                go(b + 1, acc)
-                acc.pop()
-
-    go(1, [])
-    return out
+    """Every legal set of disjoint adjacency blocks on k positions, sorted: one
+    per subset of the k - 1 joins between neighbouring positions, each maximal
+    run of joined positions making one block."""
+    configs = []
+    for joins in product((False, True), repeat=max(k - 1, 0)):
+        blocks, start = [], 1
+        for end, joined in enumerate((*joins, False), 1):  # joined: end is tied to end + 1
+            if not joined:
+                if start < end:
+                    blocks.append((start, end))
+                start = end + 1
+        configs.append(tuple(blocks))
+    return sorted(configs)
 
 
 def all_patterns(k: int) -> list[GeneralizedPattern]:
@@ -111,19 +111,24 @@ def _graph_label(g: Graph, k: int) -> str:
 class CheckResult:
     """One property under test: the instances it saw, how many held, and the
     first one that refuted it, rendered by ``label``.  It holds while no
-    counterexample is recorded; ``result`` adds the summary line."""
+    counterexample is recorded; ``detail`` fills the summary template's
+    ``{instances}`` and ``{passed}``."""
 
-    def __init__(self, name: str, label: Callable[..., str]) -> None:
+    def __init__(self, name: str, label: Callable[..., str], summary: str) -> None:
         self.name = name
         self.label = label
+        self.summary = summary
         self.instances = 0
         self.passed = 0
-        self.detail = ""
         self.counterexample: str | None = None
 
     @property
     def ok(self) -> bool:
         return self.counterexample is None
+
+    @property
+    def detail(self) -> str:
+        return self.summary.format(instances=self.instances, passed=self.passed)
 
     def see(self, ok: bool, *instance: object) -> None:
         self.instances += 1
@@ -131,10 +136,6 @@ class CheckResult:
             self.passed += 1
         elif self.counterexample is None:
             self.counterexample = self.label(*instance)
-
-    def result(self, detail: str) -> CheckResult:
-        self.detail = detail
-        return self
 
 
 def _exhaustive(
@@ -148,9 +149,10 @@ def _exhaustive(
     pairs = patterns * _sum_while_shown(map(math.factorial, range(1, max_n + 1)))
     _check_budget(pairs, "exhaustive (pattern, text) pairs")
     return (
-        ([GeneralizedPattern(values, cfg) for cfg in all_block_configs(k)],
+        ([GeneralizedPattern(values, cfg) for cfg in configs],
          (t for n in range(1, max_n + 1) for t in all_texts(n)))
         for k in range(1, max_k + 1)
+        for configs in (all_block_configs(k),)  # once per k, shared by its value orders
         for values in permutations(range(1, k + 1))
     )
 
@@ -160,11 +162,24 @@ def suite_engines(
 ) -> list[CheckResult]:
     """Exhaustive engine cross-checks (value order, then text, block set) plus
     seeded random symmetry checks."""
-    equivalence = CheckResult("engine equivalence", _pattern_text_label)
-    validity = CheckResult("embedding validity", _pattern_text_label)
-    monotone = CheckResult("adjacency monotonicity", _pattern_text_label)
-    classical = CheckResult("classical consistency", _pattern_text_label)
-    for patterns, texts in _exhaustive(max_k, max_n):
+    equivalence = CheckResult("engine equivalence", _pattern_text_label,
+                              "backtracking == brute force on {instances} instances "
+                              "(decide, count, enumerate)")
+    validity = CheckResult("embedding validity", _pattern_text_label,
+                           "all {instances} enumerated embeddings are valid")
+    monotone = CheckResult("adjacency monotonicity", _pattern_text_label,
+                           "dropping a block never lowered the count on {instances} instances")
+    classical = CheckResult("classical consistency", _pattern_text_label,
+                            "every blocked match implies a classical match on {instances} "
+                            "instances")
+    complement = CheckResult("complement symmetry", _pattern_text_label,
+                             "matching is invariant under complement on {instances} random "
+                             "instances")
+    groups = _exhaustive(max_k, max_n)
+    # two backtracking decides a sample, each over at most C(10, 5) = 252
+    # position subsets (k ≤ 6, n ≤ 10)
+    _check_budget(samples * 2 * math.comb(10, 5), "engine suite sample work")
+    for patterns, texts in groups:
         for t in texts:
             counts = {}  # this text's counts, by block set
             for p in patterns:
@@ -186,7 +201,6 @@ def suite_engines(
                     monotone.see(c <= counts[fewer], p, t)
 
     rng = random.Random(seed)
-    complement = CheckResult("complement symmetry", _pattern_text_label)
     for _ in range(samples):
         k = rng.randint(1, 6)
         n = rng.randint(1, 10)
@@ -195,20 +209,7 @@ def suite_engines(
         lhs = match_dispatch(MatchRequest(p, t), "backtrack")
         rhs = match_dispatch(MatchRequest(p.complement(), t.complement()), "backtrack")
         complement.see(lhs == rhs, p, t)
-    return [
-        equivalence.result(
-            f"backtracking == brute force on {equivalence.instances} instances "
-            "(decide, count, enumerate)"
-        ),
-        validity.result(f"all {validity.instances} enumerated embeddings are valid"),
-        monotone.result(
-            f"dropping a block never lowered the count on {monotone.instances} instances"
-        ),
-        classical.result(
-            f"every blocked match implies a classical match on {classical.instances} instances"
-        ),
-        complement.result(f"matching is invariant under complement on {samples} random instances"),
-    ]
+    return [equivalence, validity, monotone, classical, complement]
 
 
 _ALT_ASSIGN = lambda j, t, m: j + 0.45 + 0.4 * t / (m + 1)
@@ -217,29 +218,35 @@ _SEPARATOR_PROBE = GeneralizedPattern((3, 2, 1, 4), ((1, 4),))
 
 
 def _graph_family(max_l: int, samples: int, rng: random.Random | None
-                  ) -> Iterator[tuple[int, int, Iterator[Graph]]]:
-    """Per vertex count l up to max_l: l, its graph count and its graphs, each
-    made when reached (walk them in order).  Every graph while there are at
-    most 64, else samples drawn by rng; with no samples it ends at l = 4."""
-    for l in range(1, max_l + 1):
-        pair_count = l * (l - 1) // 2
-        if pair_count <= 6:  # at most 64 graphs
-            pairs = list(combinations(range(1, l + 1), 2))
-            yield l, 2**pair_count, (
-                Graph(l, frozenset(pairs[i] for i in range(pair_count) if mask >> i & 1))
-                for mask in range(2**pair_count)
-            )
-        elif not samples:
-            return
-        else:
-            yield l, samples, (random_graph(rng, l) for _ in range(samples))
+                  ) -> Iterator[tuple[range, int, Iterator[Graph]]]:
+    """Runs of vertex counts up to max_l that share one graph count: per run,
+    its vertex counts, the graph count per vertex count, and the graphs, l
+    ascending, each made when reached (walk them in order).  Each l ≤ 4 is a
+    run of all its at most 64 graphs; then l = 5..max_l is one run of samples
+    graphs per l drawn by rng, or none when samples is 0."""
+    for l in range(1, min(max_l, 4) + 1):
+        pairs = list(combinations(range(1, l + 1), 2))
+        yield range(l, l + 1), 2 ** len(pairs), (
+            Graph(l, frozenset(pair for i, pair in enumerate(pairs) if mask >> i & 1))
+            for mask in range(2 ** len(pairs))
+        )
+    if samples and max_l > 4:
+        ls = range(5, max_l + 1)
+        yield ls, samples, (random_graph(rng, l) for l in ls for _ in range(samples))
 
 
 def _reduction_work(max_l: int, max_k: int, samples: int) -> int:
-    """suite_reduction's work: per graph and k, reduce's text values and its oracles' subsets."""
-    return sum(count * (2 * l + 3 * (l * (l - 1) // 2) + 4 + 2 * math.comb(l, k))
-               for l, count, _ in _graph_family(max_l, samples, None)
-               for k in range(1, min(max_k, l) + 1))
+    """suite_reduction's work: per graph and k ≤ l, reduce's text values
+    (4 + 2l + 3·C(l, 2)) and its oracles' subsets (2·C(l, k)).  Each run of
+    vertex counts sums in closed form, Σ_{l=a..b} C(l, j) = C(b + 1, j + 1) −
+    C(a, j + 1), so the count costs no more for a larger max_l."""
+    work = 0
+    for ls, count, _ in _graph_family(max_l, samples, None):
+        for k in range(1, min(max_k, ls[-1]) + 1):
+            a, b = max(ls[0], k), ls[-1]  # the run's vertex counts that take this k
+            s = lambda j: math.comb(b + 1, j + 1) - math.comb(a, j + 1)
+            work += count * (4 * s(0) + 2 * s(1) + 3 * s(2) + 2 * s(k))
+    return work
 
 
 def _selects_independent_set(g: Graph, trace: ReductionTrace, e: tuple[int, ...]) -> bool:
@@ -258,12 +265,23 @@ def suite_reduction(
     """End-to-end checks of the construction against the subset oracle."""
     _check_budget(_reduction_work(max_l, max_k, samples), "reduction suite work")
     rng = random.Random(seed)
-    end_to_end = CheckResult("independent set vs matcher", _graph_label)
-    multiset_oracle = CheckResult("multiset stage vs oracle", _graph_label)
-    multiset_final = CheckResult("multiset stage vs final stage", _graph_label)
-    separator = CheckResult("separator uniqueness", _graph_label)
-    sizes = CheckResult("size identities", _graph_label)
-    ranks = CheckResult("rank stability", _graph_label)
+    end_to_end = CheckResult("independent set vs matcher", _graph_label,
+                             "IS ⟺ GPPM agreed on {passed} instances")
+    multiset_oracle = CheckResult("multiset stage vs oracle", _graph_label,
+                                  "simultaneous halves matching equals the oracle on "
+                                  "{instances} instances")
+    multiset_final = CheckResult("multiset stage vs final stage", _graph_label,
+                                 "stage-1 matching equals stage-3 matching on {instances} "
+                                 "instances")
+    separator = CheckResult("separator uniqueness", _graph_label,
+                            "the separator shape occurs exactly once in {instances} generated "
+                            "texts")
+    sizes = CheckResult("size identities", _graph_label,
+                        "pattern and text lengths follow the closed forms on {instances} "
+                        "instances")
+    ranks = CheckResult("rank stability", _graph_label,
+                        "two interval assignment schemes rank identically on {instances} "
+                        "instances")
     for g in chain.from_iterable(graphs for _, _, graphs in _graph_family(max_l, samples, rng)):
         for k in range(1, min(max_k, g.l) + 1):
             trace = reduce(g, k)
@@ -293,24 +311,7 @@ def suite_reduction(
                     MatchRequest(_SEPARATOR_PROBE, trace.stage3_text, Mode.COUNT), "backtrack"
                 )
                 separator.see(hits == 1, g, k)
-
-    instances = end_to_end.instances
-    return [
-        end_to_end.result(f"IS ⟺ GPPM agreed on {end_to_end.passed} instances"),
-        multiset_oracle.result(
-            f"simultaneous halves matching equals the oracle on {instances} instances"
-        ),
-        multiset_final.result(
-            f"stage-1 matching equals stage-3 matching on {instances} instances"
-        ),
-        separator.result(
-            f"the separator shape occurs exactly once in {separator.instances} generated texts"
-        ),
-        sizes.result(f"pattern and text lengths follow the closed forms on {instances} instances"),
-        ranks.result(
-            f"two interval assignment schemes rank identically on {instances} instances"
-        ),
-    ]
+    return [end_to_end, multiset_oracle, multiset_final, separator, sizes, ranks]
 
 
 def suite_fo(
@@ -318,9 +319,13 @@ def suite_fo(
 ) -> list[CheckResult]:
     """First-order decider agreement, witness validity and formula size, on
     exhaustive pairs (value order, then text, block set)."""
-    agreement = CheckResult("fo decider agreement", _pattern_text_label)
-    validity = CheckResult("fo witness validity", _pattern_text_label)
-    literals = CheckResult("formula literal counts", serialize_pattern)
+    agreement = CheckResult("fo decider agreement", _pattern_text_label,
+                            "model checking finds the matcher's witness on {instances} instances")
+    validity = CheckResult("fo witness validity", _pattern_text_label,
+                           "all {instances} model-checking witnesses are valid embeddings")
+    literals = CheckResult("formula literal counts", serialize_pattern,
+                           "every formula has k(k-1)/2 order literals and at most k^2 literals "
+                           "total")
 
     def check_pair(p: GeneralizedPattern, f: FoFormula, t: Permutation) -> None:
         witness = model_check(t, f)
@@ -330,7 +335,11 @@ def suite_fo(
         if agrees and witness is not None:
             validity.see(is_valid_embedding(p, t, witness), p, t)
 
-    for patterns, texts in _exhaustive(max_k, max_n):
+    groups = _exhaustive(max_k, max_n)
+    # a model check and a decide a sample, each over at most C(12, 5) = 792
+    # position subsets (k ≤ 5, n ≤ 12)
+    _check_budget(samples * 2 * math.comb(12, 5), "fo suite sample work")
+    for patterns, texts in groups:
         formulas = list(map(encode_formula, patterns))
         for p, f in zip(patterns, formulas):
             k = p.k
@@ -347,18 +356,7 @@ def suite_fo(
         p = random_pattern(rng, k)
         t = random_permutation(rng, n)
         check_pair(p, encode_formula(p), t)
-
-    return [
-        agreement.result(
-            f"model checking finds the matcher's witness on {agreement.instances} instances"
-        ),
-        validity.result(
-            f"all {validity.instances} model-checking witnesses are valid embeddings"
-        ),
-        literals.result(
-            "every formula has k(k-1)/2 order literals and at most k^2 literals total"
-        ),
-    ]
+    return [agreement, validity, literals]
 
 
 def _lis_label(t: Permutation, k: int) -> str:
@@ -368,8 +366,13 @@ def _lis_label(t: Permutation, k: int) -> str:
 def suite_lis(samples: int = 500, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
     """Fast-path consistency: lis_length and the identity-pattern witness of
     match_dispatch against brute-force identity decisions."""
+    fast_path = CheckResult("lis fast path", _lis_label,
+                            "lis_length >= k and the fast-path witness equal the brute-force "
+                            "identity decision on {instances} queries")
+    # brute identity decisions for every k ≤ n ≤ max_n: Σ_k C(n, k) = 2^n - 1
+    # position subsets a sample
+    _check_budget(samples * ((1 << max_n) - 1), "lis suite sample work")
     rng = random.Random(seed)
-    fast_path = CheckResult("lis fast path", _lis_label)
     for _ in range(samples):
         n = rng.randint(1, max_n)
         t = random_permutation(rng, n)
@@ -380,12 +383,7 @@ def suite_lis(samples: int = 500, max_n: int = 12, seed: int = 0) -> list[CheckR
             fast_path.see(
                 (length >= k) == (brute is not None) and match_dispatch(identity) == brute, t, k
             )
-    return [
-        fast_path.result(
-            f"lis_length >= k and the fast-path witness equal the brute-force identity "
-            f"decision on {fast_path.instances} queries"
-        )
-    ]
+    return [fast_path]
 
 
 def run_suites(

@@ -632,6 +632,25 @@ def test_verify_refuses_reduction_bounds_over_the_budget(capsys, monkeypatch):
     assert err == "error: reduction suite work = 1070307363032 exceeds budget 100000000\n"
 
 
+@pytest.mark.parametrize("suite, bounds, work", [
+    ("engines", ["--max-n", "1", "--max-k", "1"], "engine suite sample work = 504000000000"),
+    ("fo", ["--max-n", "1", "--max-k", "1"], "fo suite sample work = 1584000000000"),
+    ("lis", [], "lis suite sample work = 4095000000000"),
+    # counted in closed form: a walk over each l up to 10^9 would take most of an hour
+    ("reduction", ["--max-l", "1000000000"],
+     "reduction suite work = 16666666666666668916666671666666685399999684000010232"),
+], ids=["engines", "fo", "lis", "reduction"])
+def test_verify_refuses_sampled_work_over_the_budget(capsys, monkeypatch, suite, bounds, work):
+    def not_before_the_budget_check(*args):
+        raise AssertionError(f"drew a sample from {args} before the budget check")
+
+    for builder in ("random_pattern", "random_permutation", "random_graph", "all_texts"):
+        monkeypatch.setattr(verify, builder, not_before_the_budget_check)
+    assert run(capsys, "verify", "--suite", suite, *bounds, "--samples", "1000000000") == (
+        4, "", f"error: {work} exceeds budget 100000000\n"
+    )
+
+
 def test_verify_reduction_without_samples_ends_at_four_vertices(capsys):
     at_four = run(capsys, "verify", "--suite", "reduction", "--max-l", "4")
     assert at_four[0] == 0

@@ -264,6 +264,10 @@ def test_graph_validation():
         Graph(3, frozenset([(1, 4)]))
     with pytest.raises(ValidationError, match=r"duplicate edge"):
         Graph(3, [(1, 2), (2, 1)])
+    for l in (-1, True, 1.5):
+        with pytest.raises(ValidationError) as err:
+            Graph(l)
+        assert str(err.value) == f"vertex count must be a non-negative integer, got {l!r}"
 
 
 def test_types_are_immutable_and_hashable():

@@ -119,3 +119,27 @@ def test_every_budget_refusal_goes_through_core_check_budget():
         )
     ]
     assert raising == [("core", "_check_budget")]
+
+
+def _called_name(call: ast.Call) -> str | None:
+    """The name a call calls, for f(...), self.f(...) and cls.f(...)."""
+    called = call.func
+    if isinstance(called, ast.Name):
+        return called.id
+    if isinstance(called, ast.Attribute) and getattr(called.value, "id", None) in ("self", "cls"):
+        return called.attr
+    return None
+
+
+def test_no_function_calls_itself():
+    """No search or walk in permpat uses Python recursion, whose depth the
+    interpreter limits."""
+    recursive = [
+        (path.stem, function.name)
+        for path in sorted(Path(permpat.__file__).parent.glob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(node, ast.Call) and _called_name(node) == function.name
+                for node in ast.walk(function))
+    ]
+    assert recursive == []

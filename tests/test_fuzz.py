@@ -8,8 +8,9 @@ atoms hold no short run of digits, and no two edits share a field, so no
 edit makes a large value: the 4,301-digit atom stays past int()'s digit
 limit, which every grammar refuses, and a deletion merges at most a few
 digits.  That keeps each case small, since a graph header cannot grow to
-thousands of vertices and verify, which has no work budget, never gets a
-large bound.  Output names are relative, so every file a case writes lands
+thousands of vertices and verify never gets a large bound: verify refuses
+more than 10^8 units of work up front, but work just below that still takes
+minutes.  Output names are relative, so every file a case writes lands
 in the test's own directory.
 """
 

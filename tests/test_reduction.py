@@ -151,6 +151,12 @@ def test_deduplicate_rejects_repeated_dot_values():
         deduplicate(MultisetHalves((1, 1), ()))
 
 
+def test_deduplicate_with_reals_refuses_an_assign_scheme_that_collides():
+    # both occurrences of the repeated bar value get the same real
+    with pytest.raises(ValidationError, match="collided"):
+        deduplicate_with_reals(MultisetHalves((1, 2), ((2, 2),)), lambda j, t, m: j + 0.5)
+
+
 def test_attach_separator_worked_example():
     pattern, _ = build_multiset_instance(REFERENCE_GRAPH, 3)
     text_halves = deduplicate(build_multiset_instance(REFERENCE_GRAPH, 3)[1])
@@ -267,6 +273,16 @@ def test_matched_vertices_refuses_a_dot_pair_across_two_vertex_pairs():
     assert str(err.value) == ("pattern dot pair 3 does not land on a text dot pair "
                               "(positions 8, 10)")
     assert not verify._selects_independent_set(REFERENCE_GRAPH, trace, straddling)
+
+
+def test_matched_vertices_refuses_a_witness_of_the_wrong_length():
+    trace = reduce(REFERENCE_GRAPH, 3)
+    witness = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
+    for wrong in (witness[:-1], witness + (len(trace.stage3_text),)):
+        with pytest.raises(ValueError) as err:
+            matched_vertices(trace, wrong)
+        assert str(err.value) == "embedding length does not match the reduced pattern"
+        assert not verify._selects_independent_set(REFERENCE_GRAPH, trace, wrong)
 
 
 def test_trace_blocks_layout():

@@ -2,7 +2,7 @@ import math
 import random
 import re
 import tracemalloc
-from itertools import permutations
+from itertools import permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -31,6 +31,13 @@ def test_block_config_counts():
     assert len(all_block_configs(3)) == 4
     assert len(all_block_configs(4)) == 8
     assert all_block_configs(2) == [(), ((1, 2),)]
+    # 2^(k-1) distinct legal block sets, sorted, are every one of them in order
+    for k in range(1, 10):
+        configs = all_block_configs(k)
+        assert len(configs) == len(set(configs)) == 2 ** (k - 1)
+        assert configs == sorted(configs)
+        for blocks in configs:
+            assert GeneralizedPattern(tuple(range(1, k + 1)), blocks).blocks == blocks
 
 
 def test_all_patterns_counts():
@@ -368,19 +375,43 @@ def test_the_exhaustive_walk_builds_each_group_when_it_reaches_it(monkeypatch):
 
 def test_the_reduction_work_bounds_what_the_suite_builds():
     work = 0
-    for l, count, graphs in verify._graph_family(6, 20, random.Random(0)):
-        text_bound = 2 * l + 3 * (l * (l - 1) // 2) + 4
-        walked = 0
+    for ls, count, graphs in verify._graph_family(6, 20, random.Random(0)):
+        graphs = list(graphs)
+        # count graphs per vertex count of the run, l ascending
+        assert [g.l for g in graphs] == [l for l in ls for _ in range(count)]
         for g in graphs:
-            assert g.l == l
-            walked += 1
+            l = g.l
+            text_bound = 2 * l + 3 * (l * (l - 1) // 2) + 4
             for k in range(1, min(3, l) + 1):
                 assert len(reduction.reduce(g, k).stage3_text) <= text_bound
                 work += text_bound + 2 * math.comb(l, k)
-        assert walked == count
     assert work == verify._reduction_work(6, 3, 20)
     assert verify._reduction_work(6, 4, 200) == 128_632  # verify's defaults
     assert verify._reduction_work(5, 3, 20) == 11_824  # the crosscheck workload's bounds
+
+
+def _reduction_work_per_l(max_l, max_k, samples):
+    """The reduction suite's work walked one vertex count at a time: every
+    graph while there are at most 64, else samples of them, or the end."""
+    work = 0
+    for l in range(1, max_l + 1):
+        pairs = l * (l - 1) // 2
+        if pairs <= 6:
+            count = 2 ** pairs
+        elif samples:
+            count = samples
+        else:
+            break
+        work += count * sum(2 * l + 3 * pairs + 4 + 2 * math.comb(l, k)
+                            for k in range(1, min(max_k, l) + 1))
+    return work
+
+
+def test_the_reduction_work_sums_each_run_in_closed_form():
+    for max_l, max_k, samples in product(range(1, 41), range(1, 7), (0, 1, 7)):
+        assert verify._reduction_work(max_l, max_k, samples) == _reduction_work_per_l(
+            max_l, max_k, samples
+        ), (max_l, max_k, samples)
 
 
 def test_the_reduction_suite_refuses_over_the_budget_at_the_call(monkeypatch):
