@@ -91,9 +91,10 @@ def _cmd_match(args: argparse.Namespace) -> int:
     # every embedding has k positions: one format string serves the query
     line = "(" + ",".join(["%d"] * pattern.k) + ")"
     if args.engine != "fo" and mode is Mode.ENUMERATE_ALL:
-        result = None  # print each embedding as the search finds it
+        result = None  # write each embedding as the search finds it, one call a line
+        write, each = sys.stdout.write, line + "\n"
         for result in iter_embeddings(pattern, text, args.engine, args.budget):
-            print(line % result)
+            write(each % result)
     elif args.engine != "fo":
         result = match_dispatch(MatchRequest(pattern, text, mode), args.engine, args.budget)
     elif mode is not Mode.DECIDE:

@@ -18,7 +18,8 @@ order:
   left to right from an explicit stack, reading one tuple of the pattern's
   search plan (``_search_plan``: one per unit, made once per pattern and
   cached) per node.  Three rules prune it, set up per text in one
-  right-to-left pass over the units (see ``_iter_backtracking``); it is
+  right-to-left pass over the units (see ``_iter_backtracking``), and a
+  trailing one or two singletons are placed by one loop per prefix; it is
   the workhorse and carries no budget.  The two engines share no code;
   each yields its tuples ready for output, never re-based or re-checked.
 * ``match_dispatch`` is the one place a ``Mode`` is applied: DECIDE takes
@@ -193,7 +194,7 @@ def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
     """The text-independent part of a backtracking search, kept for reuse
     across texts, as one tuple per placement unit
     (``GeneralizedPattern.units``), (start, length, below, above, tests,
-    order):
+    order, then, tail):
 
     * start, length: the unit's first 0-based pattern index and its length;
     * below, above: the nearest earlier value neighbours of its first
@@ -201,13 +202,24 @@ def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
     * tests: the unit's window tests as (offset, below, above).  A block
       skips neighbours inside itself, since order-isomorphism of its start
       already implies them;
-    * order: a block's offsets sorted by value; () for a singleton.
+    * order: a block's offsets sorted by value; () for a singleton;
+    * then: after a placement of the unit, 0 descend into a singleton, 1
+      into a block, 2 emit, 3 or 4 run the tail loop over the last one or
+      two units, all singletons and never every unit; None for a tail unit;
+    * tail: for the unit that runs the tail loop, the below and above of
+      each tail singleton, in pattern order; () otherwise.
     """
     pv = pattern.values
     k = len(pv)
     below, above = _value_neighbours(pv)
+    units = pattern.units
+    nu = len(units)
+    size = 0  # tail singletons
+    while size < min(2, nu - 1) and units[nu - 1 - size][1] == 1:
+        size += 1
+    top = nu - 1 - size  # the last unit the state machine places
     plan = []
-    for p, length in pattern.units:
+    for u, (p, length) in enumerate(units):
         tests = []
         for d in range(length):
             lo = k if p <= below[p + d] < p + length else below[p + d]
@@ -215,7 +227,10 @@ def _search_plan(pattern: GeneralizedPattern) -> tuple[tuple, ...]:
             if lo != k or hi != k + 1:
                 tests.append((d, lo, hi))
         order = tuple(sorted(range(length), key=lambda d: pv[p + d])) if length > 1 else ()
-        plan.append((p, length, below[p], above[p], tuple(tests), order))
+        then = int(units[u + 1][1] > 1) if u < top else 2 + size if u == top else None
+        tail = (tuple(x for i in range(k - size, k) for x in (below[i], above[i]))
+                if u == top else ())
+        plan.append((p, length, below[p], above[p], tuple(tests), order, then, tail))
     return tuple(plan)
 
 
@@ -240,6 +255,12 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
       factors where the first block of that order is reached, so blocks of
       one shape share one scan, and ends the search at the first unit with
       no feasible start, before any earlier block is scanned.
+
+    A singleton's candidates are every text position, so its scan starts
+    right after the unit before it, at index s + length.  When the pattern
+    ends in one or two singletons, the unit before them makes each prefix's
+    completions in one loop over the rest of the text (its plan's ``then``
+    and ``tail``), not one state-machine step per leaf.
     """
     tv = text.values
     k, n = len(pattern.values), len(tv)
@@ -252,7 +273,7 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
     scans: dict[tuple[int, ...], Sequence[int]] = {(): range(n)}
     bound = n
     for u in range(nu - 1, -1, -1):
-        _, length, _, _, _, order = plan[u]
+        _, length, _, _, _, order, _, _ = plan[u]
         if order not in scans:
             scans[order] = _factor_starts(order, tv)
         cand = starts[u] = scans[order]
@@ -267,7 +288,7 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
     scan = [0] * nu  # per unit, the index in starts[u] to try next
     u = 0
     while u >= 0:
-        p, length, below, above, tests, _ = plan[u]
+        p, length, below, above, tests, _, then, tail = plan[u]
         i, last = scan[u], stop[u]
         if length == 1:
             lo_v, hi_v = val[below], val[above]
@@ -296,11 +317,32 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
                 pos[p + d] = s + d + 1
                 val[p + d] = tv[s + d]
         scan[u] = i + 1
-        if u == nu - 1:
-            yield tuple(pos)
-        else:
+        if then == 0:
+            u += 1
+            scan[u] = s + length
+        elif then == 1:
             u += 1
             scan[u] = bisect_left(starts[u], s + length)
+        elif then == 2:
+            yield tuple(pos)
+        elif then == 3:  # the last singleton's latest start is n - 1
+            lo_v, hi_v = val[tail[0]], val[tail[1]]
+            for j in range(s + length, n):
+                if lo_v < tv[j] < hi_v:
+                    pos[k - 1] = j + 1
+                    yield tuple(pos)
+        else:  # two singletons, whose latest starts are n - 2 and n - 1
+            lo_v, hi_v = val[tail[0]], val[tail[1]]
+            for h in range(s + length, n - 1):
+                v = tv[h]
+                if lo_v < v < hi_v:
+                    pos[k - 2] = h + 1
+                    val[k - 2] = v
+                    lo_w, hi_w = val[tail[2]], val[tail[3]]
+                    for j in range(h + 1, n):
+                        if lo_w < tv[j] < hi_w:
+                            pos[k - 1] = j + 1
+                            yield tuple(pos)
 
 
 def iter_embeddings(

@@ -157,6 +157,32 @@ def _exhaustive(
     )
 
 
+_LIS_MAX_N = 12  # the lis suite's text length bound; verify has no option for it
+
+
+def _check_suite_work(suite: str, *, max_n: int = 0, max_k: int = 0, max_l: int = 0,
+                      samples: int) -> None:
+    """Refuse one suite's work through ``core._check_budget``, in the order
+    the suite meets it, before any instance is made: the exhaustive pairs
+    (engines, fo), then the sampled work."""
+    if suite in ("engines", "fo"):
+        _exhaustive(max_k, max_n)  # refuses at the call; builds nothing
+    if suite == "engines":
+        # two backtracking decides a sample, each over at most C(10, 5) = 252
+        # position subsets (k ≤ 6, n ≤ 10)
+        _check_budget(samples * 2 * math.comb(10, 5), "engine suite sample work")
+    elif suite == "reduction":
+        _check_budget(_reduction_work(max_l, max_k, samples), "reduction suite work")
+    elif suite == "fo":
+        # a model check and a decide a sample, each over at most C(12, 5) = 792
+        # position subsets (k ≤ 5, n ≤ 12)
+        _check_budget(samples * 2 * math.comb(12, 5), "fo suite sample work")
+    else:
+        # brute identity decisions for every k ≤ n ≤ max_n: Σ_k C(n, k) = 2^n - 1
+        # position subsets a sample
+        _check_budget(samples * ((1 << max_n) - 1), "lis suite sample work")
+
+
 def suite_engines(
     max_n: int = 6, max_k: int = 4, samples: int = 200, seed: int = 0
 ) -> list[CheckResult]:
@@ -175,11 +201,8 @@ def suite_engines(
     complement = CheckResult("complement symmetry", _pattern_text_label,
                              "matching is invariant under complement on {instances} random "
                              "instances")
-    groups = _exhaustive(max_k, max_n)
-    # two backtracking decides a sample, each over at most C(10, 5) = 252
-    # position subsets (k ≤ 6, n ≤ 10)
-    _check_budget(samples * 2 * math.comb(10, 5), "engine suite sample work")
-    for patterns, texts in groups:
+    _check_suite_work("engines", max_n=max_n, max_k=max_k, samples=samples)
+    for patterns, texts in _exhaustive(max_k, max_n):
         for t in texts:
             counts = {}  # this text's counts, by block set
             for p in patterns:
@@ -263,7 +286,7 @@ def suite_reduction(
     max_l: int = 6, max_k: int = 3, samples: int = 200, seed: int = 0
 ) -> list[CheckResult]:
     """End-to-end checks of the construction against the subset oracle."""
-    _check_budget(_reduction_work(max_l, max_k, samples), "reduction suite work")
+    _check_suite_work("reduction", max_k=max_k, max_l=max_l, samples=samples)
     rng = random.Random(seed)
     end_to_end = CheckResult("independent set vs matcher", _graph_label,
                              "IS ⟺ GPPM agreed on {passed} instances")
@@ -335,11 +358,8 @@ def suite_fo(
         if agrees and witness is not None:
             validity.see(is_valid_embedding(p, t, witness), p, t)
 
-    groups = _exhaustive(max_k, max_n)
-    # a model check and a decide a sample, each over at most C(12, 5) = 792
-    # position subsets (k ≤ 5, n ≤ 12)
-    _check_budget(samples * 2 * math.comb(12, 5), "fo suite sample work")
-    for patterns, texts in groups:
+    _check_suite_work("fo", max_n=max_n, max_k=max_k, samples=samples)
+    for patterns, texts in _exhaustive(max_k, max_n):
         formulas = list(map(encode_formula, patterns))
         for p, f in zip(patterns, formulas):
             k = p.k
@@ -363,15 +383,13 @@ def _lis_label(t: Permutation, k: int) -> str:
     return f"text: {serialize_permutation(t)} (k={k})"
 
 
-def suite_lis(samples: int = 500, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
+def suite_lis(samples: int = 500, max_n: int = _LIS_MAX_N, seed: int = 0) -> list[CheckResult]:
     """Fast-path consistency: lis_length and the identity-pattern witness of
     match_dispatch against brute-force identity decisions."""
     fast_path = CheckResult("lis fast path", _lis_label,
                             "lis_length >= k and the fast-path witness equal the brute-force "
                             "identity decision on {instances} queries")
-    # brute identity decisions for every k ≤ n ≤ max_n: Σ_k C(n, k) = 2^n - 1
-    # position subsets a sample
-    _check_budget(samples * ((1 << max_n) - 1), "lis suite sample work")
+    _check_suite_work("lis", max_n=max_n, samples=samples)
     rng = random.Random(seed)
     for _ in range(samples):
         n = rng.randint(1, max_n)
@@ -394,15 +412,17 @@ def run_suites(
     samples: int = 200,
     seed: int = 0,
 ) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    if suite in ("engines", "all"):
-        results.extend(suite_engines(max_n=max_n, max_k=max_k, samples=samples, seed=seed))
-    if suite in ("reduction", "all"):
-        results.extend(
-            suite_reduction(max_l=max_l, max_k=min(max_k, 4), samples=samples, seed=seed)
-        )
-    if suite in ("fo", "all"):
-        results.extend(suite_fo(max_n=max_n, max_k=max_k, samples=samples, seed=seed))
-    if suite in ("lis", "all"):
-        results.extend(suite_lis(samples=samples, seed=seed))
-    return results
+    """The selected suites' checks, in suite order.  Every selected suite's
+    up-front work is refused (``_check_suite_work``) before the first runs,
+    so a refusal never follows a finished suite."""
+    suites = {  # name: (suite, its bounds)
+        "engines": (suite_engines, {"max_n": max_n, "max_k": max_k}),
+        "reduction": (suite_reduction, {"max_l": max_l, "max_k": min(max_k, 4)}),
+        "fo": (suite_fo, {"max_n": max_n, "max_k": max_k}),
+        "lis": (suite_lis, {"max_n": _LIS_MAX_N}),
+    }
+    chosen = [(name, *entry) for name, entry in suites.items() if suite in (name, "all")]
+    for name, _, bounds in chosen:
+        _check_suite_work(name, samples=samples, **bounds)
+    return [check for _, run, bounds in chosen
+            for check in run(samples=samples, seed=seed, **bounds)]

@@ -186,7 +186,7 @@ def test_separator_block_has_exactly_one_candidate_start(reduction_sweep):
     the stage-3 pattern's one four-position block has a single start."""
     for g, k, trace in reduction_sweep:
         plan = matcher._search_plan(trace.stage3_pattern)
-        separator = [order for _, length, _, _, _, order in plan if length == 4]
+        separator = [order for _, length, _, _, _, order, *_ in plan if length == 4]
         assert len(separator) == 1, serialize_pattern(trace.stage3_pattern)
         starts = matcher._factor_starts(separator[0], trace.stage3_text.values)
         assert len(starts) == 1, (g, k)

@@ -632,6 +632,16 @@ def test_verify_refuses_reduction_bounds_over_the_budget(capsys, monkeypatch):
     assert err == "error: reduction suite work = 1070307363032 exceeds budget 100000000\n"
 
 
+def test_verify_refuses_a_later_suite_before_running_the_first(capsys, monkeypatch):
+    def not_before_the_budget_check(**bounds):
+        raise AssertionError(f"ran a suite with {bounds} before every budget check")
+
+    monkeypatch.setattr(verify, "suite_engines", not_before_the_budget_check)
+    assert run(capsys, "verify", "--max-l", "200") == (
+        4, "", "error: reduction suite work = 1070307363032 exceeds budget 100000000\n"
+    )
+
+
 @pytest.mark.parametrize("suite, bounds, work", [
     ("engines", ["--max-n", "1", "--max-k", "1"], "engine suite sample work = 504000000000"),
     ("fo", ["--max-n", "1", "--max-k", "1"], "fo suite sample work = 1584000000000"),

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permpat import matcher
 from permpat.core import BudgetExceededError, GeneralizedPattern, Graph, Permutation
@@ -16,8 +17,10 @@ from permpat.matcher import (
     match_dispatch,
 )
 from permpat.reduction import find_independent_set, matched_vertices, reduce
-from permpat.textio import parse_pattern, parse_permutation
-from permpat.verify import all_patterns, all_texts, random_pattern, random_permutation
+from permpat.textio import parse_pattern, parse_permutation, serialize_permutation
+from permpat.verify import (
+    all_block_configs, all_patterns, all_texts, random_pattern, random_permutation
+)
 
 T = parse_permutation("53142")
 
@@ -291,7 +294,7 @@ def test_block_candidate_starts_are_the_order_isomorphic_factors():
         t = random_permutation(rng, rng.randint(1, 12))
         plan = matcher._search_plan(p)
         assert [(first, length) for first, length, *_ in plan] == list(p.units)
-        for first, length, _, _, _, order in plan:
+        for first, length, _, _, _, order, *_ in plan:
             if length == 1:
                 assert order == ()
                 continue
@@ -353,6 +356,51 @@ def test_no_earlier_block_is_scanned_after_a_unit_without_a_feasible_start(scann
     p, t = parse_pattern("[1 2] [4 3]"), parse_permutation("1 2 3 4 5")
     assert list(matcher.iter_embeddings(p, t)) == []
     assert scanned == [(1, 0)]
+
+
+@st.composite
+def patterns_and_texts(draw):
+    """A pattern of length k <= 7 with a random block set, and a text of
+    length n <= 14: past the exhaustive bounds (k <= 4, n <= 6)."""
+    k = draw(st.integers(1, 7))
+    values = tuple(draw(st.permutations(range(1, k + 1))))
+    pattern = GeneralizedPattern(values, draw(st.sampled_from(all_block_configs(k))))
+    n = draw(st.integers(1, 14))
+    return pattern, Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+
+
+def assert_backtracking_equals_brute(p, t):
+    """Backtracking enumerates brute's embeddings in brute's order, DECIDE
+    answers the first of them and COUNT their number."""
+    found = list(iter_embeddings(p, t, "backtrack"))
+    assert found == list(iter_embeddings(p, t, "brute")), serialize_permutation(t)
+    assert match_dispatch(MatchRequest(p, t), "backtrack") == (found[0] if found else None)
+    assert match_dispatch(MatchRequest(p, t, Mode.COUNT), "backtrack") == len(found)
+
+
+@settings(max_examples=400)
+@given(patterns_and_texts())
+def test_backtracking_equals_brute_past_the_exhaustive_bounds(instance):
+    assert_backtracking_equals_brute(*instance)
+
+
+@pytest.mark.parametrize("pattern, tail", [
+    ("1", 0),  # k = 1: the one unit emits
+    ("2 1", 1),  # k = 2: the second singleton is the tail
+    ("[2 1]", 0),  # k = 2 as one block
+    ("3 [1 2]", 0),  # a block as the last unit
+    ("[3 1] 2", 1),  # a singleton last unit after a block
+    ("2 [4 1] 3 5", 2),  # two singleton last units after a block
+    ("3 1 4 2", 2),  # two singleton last units after two more
+])
+def test_each_tail_shape_equals_brute_on_every_short_text(pattern, tail):
+    p = parse_pattern(pattern)
+    # a tail singleton is placed by the loop of the unit before it, never
+    # by the state machine
+    assert [unit[6] for unit in matcher._search_plan(p)].count(None) == tail
+    for n in range(1, 8):
+        for t in all_texts(n):
+            assert_backtracking_equals_brute(p, t)
 
 
 def _graph_with_answer(l, k, has_independent_set, seed):

@@ -425,6 +425,16 @@ def test_the_reduction_suite_refuses_over_the_budget_at_the_call(monkeypatch):
     assert str(err.value) == "reduction suite work = 1070307363032 exceeds budget 100000000"
 
 
+def test_run_suites_refuses_every_selected_suite_before_running_the_first(monkeypatch):
+    def not_before_the_budget_check(**bounds):
+        raise AssertionError(f"ran a suite with {bounds} before every budget check")
+
+    monkeypatch.setattr(verify, "suite_engines", not_before_the_budget_check)
+    with pytest.raises(BudgetExceededError) as err:
+        run_suites(max_l=200)
+    assert str(err.value) == "reduction suite work = 1070307363032 exceeds budget 100000000"
+
+
 def test_verify_prints_a_refuted_check_and_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(verify, "lis_length", lambda t: 0)
     code = main(["verify", "--suite", "lis", "--samples", "5"])
