@@ -11,8 +11,9 @@ fault in permpat itself, reported on stderr without a traceback), 141
 standard output closed by its reader before everything was written.
 
 Pattern and text arguments are taken inline; an argument starting with
-'@' names a file to read instead.  The brute-force budget may also be set
-through the PERMPAT_BUDGET environment variable.
+'@' names a file to read instead, refused past 10^8 characters.  The
+brute-force budget may also be set through the PERMPAT_BUDGET environment
+variable.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later call; PERMPAT_BUDGET is read again on each call.
@@ -30,9 +31,9 @@ import sys
 from functools import cache
 from itertools import islice
 
-from .core import DEFAULT_BUDGET, BudgetExceededError, ValidationError
+from .core import DEFAULT_BUDGET, BudgetExceededError, ValidationError, _check_budget
 from .folog import _instance_lines, encode_formula, model_check
-from .matcher import ENGINES, MatchRequest, Mode, iter_embeddings, match_dispatch
+from .matcher import ENGINES, Mode, match
 from .reduction import KRangeError, format_trace, reduce
 from .textio import (
     ParseError,
@@ -59,11 +60,19 @@ def _file(name: str) -> str:
     return name
 
 
+def _read_file(name: str) -> str:
+    """A file's text, refused through the budget when it runs past
+    DEFAULT_BUDGET characters, at most one more of which is read."""
+    with open(_file(name), encoding="utf-8") as handle:
+        text = handle.read(1 << 20)  # a 10^8 request allocates 10^8 bytes each call
+        if len(text) == 1 << 20:
+            text += handle.read(DEFAULT_BUDGET + 1 - len(text))
+    _check_budget(len(text), f"characters read from {name}")
+    return text
+
+
 def _read_arg(arg: str) -> str:
-    if arg.startswith("@"):
-        with open(_file(arg[1:]), encoding="utf-8") as handle:
-            return handle.read()
-    return arg
+    return _read_file(arg[1:]) if arg.startswith("@") else arg
 
 
 class _FromEnv(str):
@@ -90,13 +99,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
     mode = Mode.COUNT if args.count else Mode.ENUMERATE_ALL if args.all else Mode.DECIDE
     # every embedding has k positions: one format string serves the query
     line = "(" + ",".join(["%d"] * pattern.k) + ")"
-    if args.engine != "fo" and mode is Mode.ENUMERATE_ALL:
-        result = None  # write each embedding as the search finds it, one call a line
-        write, each = sys.stdout.write, line + "\n"
-        for result in iter_embeddings(pattern, text, args.engine, args.budget):
-            write(each % result)
-    elif args.engine != "fo":
-        result = match_dispatch(MatchRequest(pattern, text, mode), args.engine, args.budget)
+    if args.engine != "fo":
+        result = match(pattern, text, mode, args.engine, args.budget)
     elif mode is not Mode.DECIDE:
         print("error: the fo engine only decides; drop --count/--all", file=sys.stderr)
         return EXIT_USAGE
@@ -107,13 +111,17 @@ def _cmd_match(args: argparse.Namespace) -> int:
         print(result)
     elif mode is Mode.DECIDE:
         print("MATCH " + line % result if result else "NO MATCH")
+    else:  # each embedding is written as the search finds it, one call a line
+        write, each, last = sys.stdout.write, line + "\n", None
+        for last in result:
+            write(each % last)
+        result = last
     return EXIT_OK if result else EXIT_NEGATIVE
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     prefix = _file(args.output)  # refused before the instance is built
-    with open(_file(args.graph), encoding="utf-8") as handle:
-        graph, file_k = parse_graph(handle.read())
+    graph, file_k = parse_graph(_read_file(args.graph))
     k = args.k if args.k is not None else file_k
     if k is None:
         print("error: no k given (neither -k nor a 'k' line in the graph file)",

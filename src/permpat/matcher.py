@@ -8,8 +8,8 @@ embedding is that tuple: k 1-based text positions, a plain ``tuple``.
 Each query runs one search, which yields its embeddings in lexicographic
 order:
 
-* ``iter_embeddings`` is the engine table, the one place an engine name is
-  resolved, and yields each embedding as soon as the search finds it.
+* ``match(pattern, text, mode, engine, budget)`` is the one way in: the
+  one place an engine name is resolved and a ``Mode`` applied.
   ``brute`` filters every strictly increasing k-tuple of text
   positions through the pattern's brute plan (``_brute_plan``: block
   spans and value-consecutive index pairs, made once per pattern and
@@ -22,11 +22,11 @@ order:
   trailing one or two singletons are placed by one loop per prefix; it is
   the workhorse and carries no budget.  The two engines share no code;
   each yields its tuples ready for output, never re-based or re-checked.
-* ``match_dispatch`` is the one place a ``Mode`` is applied: DECIDE takes
-  the first embedding (the lexicographically least) or None, COUNT counts
-  the stream, ENUMERATE_ALL lists it.  Its ``auto`` engine decides the
-  classical monotone patterns 1..k and k..1 with a
-  longest-increasing-subsequence witness instead.
+  DECIDE takes the first embedding (the lexicographically least) or None,
+  COUNT counts the stream, ENUMERATE_ALL returns it, each embedding
+  yielded as soon as the search finds it.  ``auto`` decides the classical
+  monotone patterns 1..k and k..1 with a longest-increasing-subsequence
+  witness instead.
 * ``is_valid_embedding`` is where an embedding from outside the engines is
   checked, first as a tuple of positions, then as a matching through the
   same brute plan, stopping at the first failed test.
@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, compress
 from operator import and_, lt
@@ -52,17 +52,7 @@ from .core import (
     _check_budget,
 )
 
-__all__ = [
-    "ENGINES",
-    "Mode",
-    "MatchRequest",
-    "is_valid_embedding",
-    "iter_embeddings",
-    "match_bruteforce",
-    "match_dispatch",
-    "first_embedding",
-    "lis_length",
-]
+__all__ = ["ENGINES", "Mode", "is_valid_embedding", "lis_length", "match"]
 
 ENGINES = ("auto", "brute", "backtrack")
 
@@ -71,15 +61,6 @@ class Mode(enum.Enum):
     DECIDE = "decide"
     COUNT = "count"
     ENUMERATE_ALL = "enumerate"
-
-
-@dataclass(frozen=True)
-class MatchRequest:
-    """One matching query.  k > n is a legal request that simply never matches."""
-
-    pattern: GeneralizedPattern
-    text: Permutation
-    mode: Mode = Mode.DECIDE
 
 
 # room for one exhaustive verify group, whose patterns cycle for each text:
@@ -345,27 +326,6 @@ def _iter_backtracking(pattern: GeneralizedPattern, text: Permutation) -> Iterat
                             yield tuple(pos)
 
 
-def iter_embeddings(
-    pattern: GeneralizedPattern,
-    text: Permutation,
-    engine: str = "auto",
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[tuple[int, ...]]:
-    """Every embedding of pattern into text under one of ENGINES,
-    lexicographically, each yielded as soon as the search finds it.  Raises
-    at the call, before the first item: BudgetExceededError when the brute
-    engine's C(n, k) candidates exceed the budget, ValueError for an engine
-    not in ENGINES."""
-    if engine == "brute":
-        count = math.comb(text.n, pattern.k)
-        if count > budget:  # the refusal's label is made only for a refusal
-            _check_budget(count, f"C({text.n}, {pattern.k})", budget)
-        return _iter_bruteforce(pattern, text)
-    if engine in ("auto", "backtrack"):
-        return _iter_backtracking(pattern, text)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 def _longest_runs_from(values: tuple[int, ...]) -> list[int]:
     """For each index i, the length of the longest increasing subsequence
     that starts at i; one right-to-left patience pass, O(n log n)."""
@@ -407,39 +367,62 @@ def _lis_witness(t: Permutation, k: int) -> tuple[int, ...] | None:
     return tuple(positions) if len(positions) == k else None
 
 
-def match_dispatch(
-    req: MatchRequest, engine: str = "auto", budget: int = DEFAULT_BUDGET
-) -> tuple[int, ...] | int | list[tuple[int, ...]] | None:
-    """Answer req with one of ENGINES; the budget binds only the brute engine.
+def match(
+    pattern: GeneralizedPattern,
+    text: Permutation,
+    mode: Mode = Mode.DECIDE,
+    engine: str = "auto",
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[int, ...] | int | Iterator[tuple[int, ...]] | None:
+    """Match pattern into text under one of ENGINES.  k > n is a legal query
+    that simply never matches.
+
+    DECIDE answers the lexicographically least embedding or None, COUNT
+    their number, and ENUMERATE_ALL an iterator over them all,
+    lexicographically, each yielded as soon as the search finds it.  Raises
+    at the call, before any search: BudgetExceededError when the brute
+    engine's C(n, k) candidates exceed the budget, which binds no other
+    engine, and ValueError for an engine not in ENGINES.
 
     ``auto`` decides the classical identity pattern 1..k through the
     longest-increasing-subsequence witness, the decreasing pattern k..1
-    through the same witness on the complemented text, and runs
-    everything else through the backtracking engine.
+    through the same witness on the complemented text, and runs everything
+    else through the backtracking engine.
     """
-    p = req.pattern
-    if engine == "auto" and req.mode is Mode.DECIDE and p.is_classical:
-        if p.values == tuple(range(1, p.k + 1)):
-            return _lis_witness(req.text, p.k)
-        if p.values == tuple(range(p.k, 0, -1)):
-            return _lis_witness(req.text.complement(), p.k)
-    found = iter_embeddings(p, req.text, engine, budget)
-    if req.mode is Mode.COUNT:
-        return sum(1 for _ in found)
-    if req.mode is Mode.DECIDE:
+    if engine == "brute":
+        count = math.comb(text.n, pattern.k)
+        if count > budget:  # the refusal's label is made only for a refusal
+            _check_budget(count, f"C({text.n}, {pattern.k})", budget)
+        found = _iter_bruteforce(pattern, text)
+    elif engine in ("auto", "backtrack"):
+        if engine == "auto" and mode is Mode.DECIDE and pattern.is_classical:
+            if pattern.values == tuple(range(1, pattern.k + 1)):
+                return _lis_witness(text, pattern.k)
+            if pattern.values == tuple(range(pattern.k, 0, -1)):
+                return _lis_witness(text.complement(), pattern.k)
+        found = _iter_backtracking(pattern, text)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    if mode is Mode.DECIDE:
         return next(found, None)
-    return list(found)
+    if mode is Mode.COUNT:
+        return sum(1 for _ in found)
+    return found
 
 
-def match_bruteforce(
-    req: MatchRequest, budget: int = DEFAULT_BUDGET
-) -> tuple[int, ...] | int | list[tuple[int, ...]] | None:
-    """``match_dispatch(req, "brute", budget)``; kept only because
-    ``perfbench/workloads.py`` calls it (ROADMAP item 1)."""
+# perfbench/workloads.py calls these four; ROADMAP item 1 moves it onto
+# match and deletes them
+MatchRequest = namedtuple("MatchRequest", "pattern text mode", defaults=(Mode.DECIDE,))
+
+
+def match_dispatch(req, engine="auto", budget=DEFAULT_BUDGET):
+    found = match(*req, engine, budget)
+    return list(found) if req.mode is Mode.ENUMERATE_ALL else found
+
+
+def match_bruteforce(req, budget=DEFAULT_BUDGET):
     return match_dispatch(req, "brute", budget)
 
 
-def first_embedding(p: GeneralizedPattern, t: Permutation) -> tuple[int, ...] | None:
-    """The lexicographically least embedding of p into t, or None; kept
-    only because ``perfbench/workloads.py`` calls it (ROADMAP item 1)."""
-    return match_dispatch(MatchRequest(p, t))
+def first_embedding(p, t):
+    return match(p, t)

@@ -15,7 +15,7 @@ from itertools import chain, combinations, permutations, product
 from typing import Callable, Iterator
 
 from .core import GeneralizedPattern, Graph, Permutation, _check_budget, _sum_while_shown
-from .matcher import MatchRequest, Mode, is_valid_embedding, lis_length, match_dispatch
+from .matcher import Mode, is_valid_embedding, lis_length, match
 from .folog import FoFormula, encode_formula, model_check
 from .reduction import (
     ReductionTrace,
@@ -206,12 +206,11 @@ def suite_engines(
         for t in texts:
             counts = {}  # this text's counts, by block set
             for p in patterns:
-                # one search per engine: match_dispatch answers DECIDE with the
-                # first item of this stream and COUNT with its length, so equal
+                # one search per engine: match answers DECIDE with the first
+                # item of this stream and COUNT with its length, so equal
                 # enumerations decide and count alike
-                enum = MatchRequest(p, t, Mode.ENUMERATE_ALL)
-                enum_brute = match_dispatch(enum, "brute")
-                enum_back = match_dispatch(enum, "backtrack")
+                enum_brute = list(match(p, t, Mode.ENUMERATE_ALL, "brute"))
+                enum_back = list(match(p, t, Mode.ENUMERATE_ALL, "backtrack"))
                 equivalence.see(enum_brute == enum_back, p, t)
                 counts[p.blocks] = len(enum_back)
                 for e in enum_back:
@@ -229,8 +228,8 @@ def suite_engines(
         n = rng.randint(1, 10)
         p = random_pattern(rng, k)
         t = random_permutation(rng, n)
-        lhs = match_dispatch(MatchRequest(p, t), "backtrack")
-        rhs = match_dispatch(MatchRequest(p.complement(), t.complement()), "backtrack")
+        lhs = match(p, t, engine="backtrack")
+        rhs = match(p.complement(), t.complement(), engine="backtrack")
         complement.see(lhs == rhs, p, t)
     return [equivalence, validity, monotone, classical, complement]
 
@@ -309,7 +308,7 @@ def suite_reduction(
         for k in range(1, min(max_k, g.l) + 1):
             trace = reduce(g, k)
             expected = find_independent_set(g, k) is not None
-            witness = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
+            witness = match(trace.stage3_pattern, trace.stage3_text)
             final = witness is not None
             multiset = (
                 simultaneous_multiset_witness(trace.stage1_pattern, trace.stage1_text)
@@ -330,9 +329,7 @@ def suite_reduction(
                 g, k,
             )
             if k == 1:  # the text depends only on the graph; probe it once
-                hits = match_dispatch(
-                    MatchRequest(_SEPARATOR_PROBE, trace.stage3_text, Mode.COUNT), "backtrack"
-                )
+                hits = match(_SEPARATOR_PROBE, trace.stage3_text, Mode.COUNT, "backtrack")
                 separator.see(hits == 1, g, k)
     return [end_to_end, multiset_oracle, multiset_final, separator, sizes, ranks]
 
@@ -352,7 +349,7 @@ def suite_fo(
 
     def check_pair(p: GeneralizedPattern, f: FoFormula, t: Permutation) -> None:
         witness = model_check(t, f)
-        decided = match_dispatch(MatchRequest(p, t, Mode.DECIDE))
+        decided = match(p, t)
         agrees = witness == decided
         agreement.see(agrees, p, t)
         if agrees and witness is not None:
@@ -385,7 +382,7 @@ def _lis_label(t: Permutation, k: int) -> str:
 
 def suite_lis(samples: int = 500, max_n: int = _LIS_MAX_N, seed: int = 0) -> list[CheckResult]:
     """Fast-path consistency: lis_length and the identity-pattern witness of
-    match_dispatch against brute-force identity decisions."""
+    ``match`` against brute-force identity decisions."""
     fast_path = CheckResult("lis fast path", _lis_label,
                             "lis_length >= k and the fast-path witness equal the brute-force "
                             "identity decision on {instances} queries")
@@ -396,11 +393,10 @@ def suite_lis(samples: int = 500, max_n: int = _LIS_MAX_N, seed: int = 0) -> lis
         t = random_permutation(rng, n)
         length = lis_length(t)
         for k in range(1, n + 1):
-            identity = MatchRequest(GeneralizedPattern(tuple(range(1, k + 1)), ()), t)
-            brute = match_dispatch(identity, "brute")
-            fast_path.see(
-                (length >= k) == (brute is not None) and match_dispatch(identity) == brute, t, k
-            )
+            identity = GeneralizedPattern(tuple(range(1, k + 1)), ())
+            brute = match(identity, t, engine="brute")
+            fast_path.see((length >= k) == (brute is not None) and match(identity, t) == brute,
+                          t, k)
     return [fast_path]
 
 

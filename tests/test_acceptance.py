@@ -10,13 +10,7 @@ import pytest
 
 from permpat import matcher
 from permpat.core import Graph
-from permpat.matcher import (
-    MatchRequest,
-    Mode,
-    is_valid_embedding,
-    lis_length,
-    match_dispatch,
-)
+from permpat.matcher import Mode, is_valid_embedding, lis_length, match
 from permpat.reduction import (
     build_multiset_instance,
     deduplicate,
@@ -51,18 +45,15 @@ def best_of(fn, repeats=5):
 
 def test_criterion_1_golden_matching_examples():
     cases = [
-        ("3 1 2", lambda: match_dispatch(MatchRequest(parse_pattern("3 1 2"), REFERENCE_TEXT)),
-         (1, 2, 4)),
-        ("1 2 3", lambda: match_dispatch(MatchRequest(parse_pattern("1 2 3"), REFERENCE_TEXT)),
-         None),
-        ("[3 1] 2 witness", lambda: match_dispatch(
-            MatchRequest(parse_pattern("[3 1] 2"), REFERENCE_TEXT, Mode.ENUMERATE_ALL), "backtrack"
-        )[0], (1, 2, 4)),
+        ("3 1 2", lambda: match(parse_pattern("3 1 2"), REFERENCE_TEXT), (1, 2, 4)),
+        ("1 2 3", lambda: match(parse_pattern("1 2 3"), REFERENCE_TEXT), None),
+        ("[3 1] 2 witness", lambda: next(
+            match(parse_pattern("[3 1] 2"), REFERENCE_TEXT, Mode.ENUMERATE_ALL, "backtrack")
+        ), (1, 2, 4)),
         ("[3 1] 2 rejects (1,3,5)", lambda: is_valid_embedding(
             parse_pattern("[3 1] 2"), REFERENCE_TEXT, (1, 3, 5)
         ), False),
-        ("[3 1 2]", lambda: match_dispatch(MatchRequest(parse_pattern("[3 1 2]"), REFERENCE_TEXT)),
-         None),
+        ("[3 1 2]", lambda: match(parse_pattern("[3 1 2]"), REFERENCE_TEXT), None),
     ]
     ok = True
     worst = 0.0
@@ -88,11 +79,9 @@ def test_criterion_2_reference_reduction_exact():
     ok = ok and serialize_pattern(trace.stage3_pattern) == \
         "6 1 11 7 15 12 [18 17 16 19] [2 8 3] [4 13 5] [9 14 10]"
     ok = ok and len(trace.stage3_pattern) == 19 and len(trace.stage3_text) == 40
-    decided = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
+    decided = match(trace.stage3_pattern, trace.stage3_text)
     ok = ok and decided is not None and matched_vertices(trace, decided) == (2, 3, 5)
-    embeddings = match_dispatch(
-        MatchRequest(trace.stage3_pattern, trace.stage3_text, Mode.ENUMERATE_ALL), "backtrack"
-    )
+    embeddings = match(trace.stage3_pattern, trace.stage3_text, Mode.ENUMERATE_ALL, "backtrack")
     witness_sets = {frozenset(matched_vertices(trace, e)) for e in embeddings}
     ok = ok and frozenset({2, 3, 5}) in witness_sets
     elapsed = time.perf_counter() - start
@@ -155,7 +144,7 @@ def test_criterion_4_oracle_equivalence(reduction_sweep):
     disagreements = 0
     for g, k, trace in reduction_sweep:
         expected = find_independent_set(g, k) is not None
-        decided = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
+        decided = match(trace.stage3_pattern, trace.stage3_text)
         if (decided is not None) != expected:
             disagreements += 1
     elapsed = time.perf_counter() - start
@@ -172,7 +161,7 @@ def test_criterion_5_separator_occurs_exactly_once(reduction_sweep):
         text = trace.stage3_text
         if text in seen:
             continue
-        hits = match_dispatch(MatchRequest(SEPARATOR_PROBE, text, Mode.COUNT), "backtrack")
+        hits = match(SEPARATOR_PROBE, text, Mode.COUNT, "backtrack")
         seen[text] = hits
         if hits != 1:
             bad += 1
@@ -197,7 +186,7 @@ def test_criterion_6_multiset_stage_equivalence(reduction_sweep):
     disagreements = 0
     for g, k, trace in reduction_sweep:
         multiset = simultaneous_multiset_witness(trace.stage1_pattern, trace.stage1_text)
-        decided = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
+        decided = match(trace.stage3_pattern, trace.stage3_text)
         if (multiset is not None) != (decided is not None):
             disagreements += 1
     elapsed = time.perf_counter() - start

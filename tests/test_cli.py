@@ -3,6 +3,7 @@ import functools
 import itertools
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import permpat
 from permpat import cli, core, matcher, verify
 from permpat.cli import EXIT_INTERNAL, main
 from permpat.folog import parse_instance
-from permpat.matcher import is_valid_embedding, iter_embeddings
+from permpat.matcher import Mode, is_valid_embedding, match
 from permpat.textio import parse_pattern, parse_permutation
 
 SIX_VERTEX_GRAPH_TEXT = "p 6 7\nk 3\n1 3\n1 4\n1 5\n2 6\n3 4\n3 6\n5 6\n"
@@ -32,6 +33,32 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# README.md's match block, line for line: what each prints and its exit code
+README_MATCH_EXAMPLES = [
+    ('permpat match -p "[3 1] 2" -t "53142"          # MATCH (1,2,4)   -> exit 0',
+     "MATCH (1,2,4)\n", 0),
+    ('permpat match -p "[3 1 2]" -t "53142"          # NO MATCH        -> exit 1',
+     "NO MATCH\n", 1),
+    ('permpat match -p "3 1 2" -t "53142" --count    # 4', "4\n", 0),
+    ('permpat match -p "[3 1] 2" -t "53142" --all    # (1,2,4) then (2,3,5)',
+     "(1,2,4)\n(2,3,5)\n", 0),
+    ('permpat match -p "31-2" -t "53142"             # dash syntax, same pattern',
+     "MATCH (1,2,4)\n", 0),
+    ('permpat match -p "1 2 3" -t "53142" --engine fo  # NO MATCH  -> exit 1',
+     "NO MATCH\n", 1),
+]
+
+
+def test_readme_match_examples(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    shown = [line for line in readme.splitlines() if line.startswith("permpat match ")]
+    assert shown == [line for line, _, _ in README_MATCH_EXAMPLES]
+    for line, out, code in README_MATCH_EXAMPLES:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "permpat"
+        assert run(capsys, *argv[1:]) == (code, out, ""), line
 
 
 def test_match_decide_reports_witness(capsys):
@@ -303,7 +330,7 @@ def test_engine_output_is_not_revalidated(capsys, monkeypatch):
         return as_int_tuple(values, what)
 
     monkeypatch.setattr(core, "_as_int_tuple", counted)
-    found = list(iter_embeddings(p, t))
+    found = list(match(p, t, Mode.ENUMERATE_ALL))
     assert checked == []
     assert found == [(1, 2, 4), (2, 3, 5)]
     assert hash(found[0]) == hash((1, 2, 4))
@@ -525,6 +552,21 @@ def test_reduce_refuses_a_text_over_the_budget_before_building_it(capsys, monkey
 def _at_most_one_gib():
     # a refusal that fails to fire then ends in MemoryError, within this process
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("argv", [["match", "-p", "1", "-t", "@/dev/zero"],
+                                  ["reduce", "/dev/zero", "-o", "{out}"]],
+                         ids=["match", "reduce"])
+def test_a_file_past_the_budget_is_refused_before_it_is_parsed(tmp_path, argv):
+    # an endless file: an unbounded read would run out of memory first
+    argv = [a.format(out=tmp_path / "out") for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "permpat", *argv],
+                          capture_output=True, text=True, preexec_fn=_at_most_one_gib)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == (
+        "error: characters read from /dev/zero = 100000001 exceeds budget 100000000\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_encode_fo_refuses_an_instance_over_the_budget(tmp_path):

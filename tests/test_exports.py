@@ -53,14 +53,16 @@ BRUTE_SIDE = {"is_valid_embedding", "_iter_bruteforce", "_brute_plan"}
 BACKTRACK_SIDE = {"_iter_backtracking", "_search_plan", "_value_neighbours", "_factor_starts"}
 
 
-def _referenced_names(function: ast.FunctionDef) -> set[str]:
-    """Every plain name and attribute name a function mentions."""
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Every plain, attribute and imported name a tree mentions."""
     names = set()
-    for node in ast.walk(function):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
     return names
 
 
@@ -89,6 +91,26 @@ def test_import_boundaries():
                           (BACKTRACK_SIDE, BRUTE_SIDE)):
         for name in side:
             assert not functions[name] & foreign, (name, functions[name] & foreign)
+
+
+# the four names perfbench/workloads.py calls until it moves onto match
+ADAPTERS = {"MatchRequest", "match_dispatch", "match_bruteforce", "first_embedding"}
+# the searches behind match: the two engines and auto's monotone shortcut
+SEARCHES = {"_iter_bruteforce", "_iter_backtracking", "_lis_witness"}
+
+
+def test_match_is_the_one_matching_entry_point():
+    """No module but matcher names the benchmark's adapters, and inside
+    matcher only match names a search: match alone picks an engine and
+    applies a mode."""
+    sources = {path.stem: path for path in Path(permpat.__file__).parent.glob("*.py")}
+    for name, path in sources.items():
+        if name != "matcher":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert not _referenced_names(tree) & ADAPTERS, name
+    for node in ast.parse(sources["matcher"].read_text(encoding="utf-8")).body:
+        if getattr(node, "name", None) != "match":
+            assert not _referenced_names(node) & SEARCHES, ast.unparse(node)[:60]
 
 
 def _raising_functions(tree: ast.Module, exception: str) -> list[str]:

@@ -17,7 +17,7 @@ from permpat.folog import (
     model_check,
     parse_instance,
 )
-from permpat.matcher import MatchRequest, Mode, is_valid_embedding, match_bruteforce
+from permpat.matcher import Mode, is_valid_embedding, match
 from permpat.textio import ParseError, parse_pattern, parse_permutation, serialize_permutation
 from permpat.verify import all_patterns, all_texts, random_pattern, random_permutation
 
@@ -109,7 +109,7 @@ def test_model_check_agrees_with_bruteforce_witness():
         p = random_pattern(rng, rng.randint(1, 4))
         t = random_permutation(rng, rng.randint(1, 8))
         witness = model_check(t, encode_formula(p))
-        found = match_bruteforce(MatchRequest(p, t, Mode.ENUMERATE_ALL))
+        found = list(match(p, t, Mode.ENUMERATE_ALL, "brute"))
         if found:
             assert witness == found[0]
         else:

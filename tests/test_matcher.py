@@ -6,16 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from permpat import matcher
 from permpat.core import BudgetExceededError, GeneralizedPattern, Graph, Permutation
-from permpat.matcher import (
-    MatchRequest,
-    Mode,
-    first_embedding,
-    is_valid_embedding,
-    iter_embeddings,
-    lis_length,
-    match_bruteforce,
-    match_dispatch,
-)
+from permpat.matcher import ENGINES, Mode, is_valid_embedding, lis_length, match
 from permpat.reduction import find_independent_set, matched_vertices, reduce
 from permpat.textio import parse_pattern, parse_permutation, serialize_permutation
 from permpat.verify import (
@@ -25,40 +16,42 @@ from permpat.verify import (
 T = parse_permutation("53142")
 
 
-def req(pattern, mode=Mode.DECIDE, text=T):
-    return MatchRequest(pattern, text, mode)
+def answer(pattern, text=T, mode=Mode.DECIDE, engine="auto"):
+    """match's answer, an enumeration listed."""
+    found = match(pattern, text, mode, engine)
+    return list(found) if mode is Mode.ENUMERATE_ALL else found
 
 
-def both(request):
-    a = match_bruteforce(request)
-    b = match_dispatch(request, "backtrack")
+def both(pattern, mode=Mode.DECIDE, text=T):
+    a = answer(pattern, text, mode, "brute")
+    b = answer(pattern, text, mode, "backtrack")
     assert a == b
     return b
 
 
 def test_example_text_contains_312():
-    assert both(req(parse_pattern("3 1 2"))) == (1, 2, 4)
+    assert both(parse_pattern("3 1 2")) == (1, 2, 4)
 
 
 def test_example_text_avoids_123():
-    assert both(req(parse_pattern("1 2 3"))) is None
+    assert both(parse_pattern("1 2 3")) is None
 
 
 def test_example_text_avoids_fully_blocked_312():
-    assert both(req(parse_pattern("[3 1 2]"))) is None
+    assert both(parse_pattern("[3 1 2]")) is None
 
 
 def test_example_text_contains_vincular_31_2():
-    assert both(req(parse_pattern("[3 1] 2"))) == (1, 2, 4)
+    assert both(parse_pattern("[3 1] 2")) == (1, 2, 4)
 
 
 def test_counts_in_example_text():
     # frozen from the exhaustive enumeration below
-    assert both(req(parse_pattern("3 1 2"), Mode.COUNT)) == 4
-    assert both(req(parse_pattern("[3 1] 2"), Mode.COUNT)) == 2
-    embeddings = both(req(parse_pattern("3 1 2"), Mode.ENUMERATE_ALL))
+    assert both(parse_pattern("3 1 2"), Mode.COUNT) == 4
+    assert both(parse_pattern("[3 1] 2"), Mode.COUNT) == 2
+    embeddings = both(parse_pattern("3 1 2"), Mode.ENUMERATE_ALL)
     assert embeddings == [(1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5)]
-    vincular = both(req(parse_pattern("[3 1] 2"), Mode.ENUMERATE_ALL))
+    vincular = both(parse_pattern("[3 1] 2"), Mode.ENUMERATE_ALL)
     assert vincular == [(1, 2, 4), (2, 3, 5)]
 
 
@@ -99,28 +92,22 @@ def test_is_valid_embedding_equals_the_all_pairs_definition():
 
 def test_every_enumerated_embedding_is_valid():
     for p in all_patterns(3):
-        for e in match_dispatch(req(p, Mode.ENUMERATE_ALL), "backtrack"):
+        for e in match(p, T, Mode.ENUMERATE_ALL, "backtrack"):
             assert is_valid_embedding(p, T, e)
 
 
 def test_adjacent_increasing_pair_in_example_text():
     p = parse_pattern("[1 2]")
-    assert both(req(p)) == (3, 4)
-    assert first_embedding(p, T) == (3, 4)
+    assert both(p) == (3, 4)
+    assert match(p, T) == (3, 4)
 
 
 def test_no_match_cases():
-    assert both(MatchRequest(parse_pattern("1 2"), parse_permutation("21"))) is None
+    assert both(parse_pattern("1 2"), text=parse_permutation("21")) is None
     long_pattern = GeneralizedPattern(tuple([2, 1, 3, 4, 5, 6]), ())
-    assert match_dispatch(
-        MatchRequest(long_pattern, parse_permutation("53142")), "backtrack"
-    ) is None
-    assert match_dispatch(
-        MatchRequest(long_pattern, parse_permutation("53142"), Mode.COUNT), "backtrack"
-    ) == 0
-    assert match_dispatch(
-        MatchRequest(long_pattern, parse_permutation("53142"), Mode.ENUMERATE_ALL), "backtrack"
-    ) == []
+    assert match(long_pattern, T, engine="backtrack") is None
+    assert match(long_pattern, T, Mode.COUNT, "backtrack") == 0
+    assert list(match(long_pattern, T, Mode.ENUMERATE_ALL, "backtrack")) == []
 
 
 def test_lis_examples():
@@ -131,9 +118,9 @@ def test_lis_examples():
 
 
 def test_dispatch_uses_lis_for_identity_and_matches_engines():
-    assert match_dispatch(req(parse_pattern("1 2 3"))) is None
-    assert match_dispatch(req(parse_pattern("1 2"))) == (2, 4)
-    assert match_dispatch(req(parse_pattern("[1 2]"))) == (3, 4)
+    assert match(parse_pattern("1 2 3"), T) is None
+    assert match(parse_pattern("1 2"), T) == (2, 4)
+    assert match(parse_pattern("[1 2]"), T) == (3, 4)
     rng = random.Random(3)
     for _ in range(100):
         n = rng.randint(1, 9)
@@ -141,22 +128,18 @@ def test_dispatch_uses_lis_for_identity_and_matches_engines():
         k = rng.randint(1, 6)
         p = random_pattern(rng, k)
         for mode in Mode:
-            assert match_dispatch(MatchRequest(p, t, mode)) == match_dispatch(
-                MatchRequest(p, t, mode), "backtrack"
-            )
+            assert answer(p, t, mode) == answer(p, t, mode, "backtrack")
         identity = GeneralizedPattern(tuple(range(1, k + 1)), ())
-        assert match_dispatch(MatchRequest(identity, t)) == match_dispatch(
-            MatchRequest(identity, t), "backtrack"
-        )
+        assert match(identity, t) == match(identity, t, engine="backtrack")
 
 
 def test_budget_guard_refuses_large_bruteforce():
     t = Permutation(tuple(range(1, 41)))
     p = GeneralizedPattern(tuple(range(1, 11)), ())
     with pytest.raises(BudgetExceededError):
-        match_bruteforce(MatchRequest(p, t), budget=10**6)
+        match(p, t, engine="brute", budget=10**6)
     # the workhorse takes the same instance without a budget
-    assert match_dispatch(MatchRequest(p, t), "backtrack") == tuple(range(1, 11))
+    assert match(p, t, engine="backtrack") == tuple(range(1, 11))
 
 
 def test_engines_agree_exhaustively_small():
@@ -165,8 +148,7 @@ def test_engines_agree_exhaustively_small():
             for n in range(1, 6):
                 for t in all_texts(n):
                     for mode in Mode:
-                        assert match_bruteforce(MatchRequest(p, t, mode)) == \
-                            match_dispatch(MatchRequest(p, t, mode), "backtrack")
+                        assert answer(p, t, mode, "brute") == answer(p, t, mode, "backtrack")
 
 
 def test_enumeration_is_lexicographic():
@@ -174,8 +156,7 @@ def test_enumeration_is_lexicographic():
     for _ in range(50):
         p = random_pattern(rng, rng.randint(1, 4))
         t = random_permutation(rng, rng.randint(1, 8))
-        enum = MatchRequest(p, t, Mode.ENUMERATE_ALL)
-        found = match_dispatch(enum, "backtrack")
+        found = list(match(p, t, Mode.ENUMERATE_ALL, "backtrack"))
         assert found == sorted(found)
 
 
@@ -187,8 +168,8 @@ def test_counts_never_increase_when_blocks_are_added():
         if not p.blocks:
             continue
         stripped = GeneralizedPattern(p.values, ())
-        blocked = match_dispatch(MatchRequest(p, t, Mode.COUNT), "backtrack")
-        classical = match_dispatch(MatchRequest(stripped, t, Mode.COUNT), "backtrack")
+        blocked = match(p, t, Mode.COUNT, "backtrack")
+        classical = match(stripped, t, Mode.COUNT, "backtrack")
         assert blocked <= classical
 
 
@@ -197,8 +178,8 @@ def test_complement_symmetry_random():
     for _ in range(150):
         p = random_pattern(rng, rng.randint(1, 5))
         t = random_permutation(rng, rng.randint(1, 9))
-        assert match_dispatch(MatchRequest(p, t), "backtrack") == match_dispatch(
-            MatchRequest(p.complement(), t.complement()), "backtrack"
+        assert match(p, t, engine="backtrack") == match(
+            p.complement(), t.complement(), engine="backtrack"
         )
 
 
@@ -207,10 +188,10 @@ def test_first_embedding_is_least_and_engine_consistent():
     for _ in range(50):
         p = random_pattern(rng, rng.randint(1, 4))
         t = random_permutation(rng, rng.randint(1, 7))
-        found = match_dispatch(MatchRequest(p, t, Mode.ENUMERATE_ALL), "backtrack")
+        found = list(match(p, t, Mode.ENUMERATE_ALL, "backtrack"))
         expected = found[0] if found else None
-        assert first_embedding(p, t) == expected
-        assert match_dispatch(MatchRequest(p, t), engine="brute") == expected
+        assert match(p, t) == expected
+        assert match(p, t, engine="brute") == expected
 
 
 def test_dispatch_identity_witness_equals_brute_exhaustively():
@@ -218,25 +199,24 @@ def test_dispatch_identity_witness_equals_brute_exhaustively():
         for t in all_texts(n):
             for k in range(1, n + 2):
                 for values in (range(1, k + 1), range(k, 0, -1)):
-                    monotone = MatchRequest(GeneralizedPattern(tuple(values), ()), t)
-                    found = match_bruteforce(MatchRequest(monotone.pattern, t, Mode.ENUMERATE_ALL))
+                    monotone = GeneralizedPattern(tuple(values), ())
+                    found = list(match(monotone, t, Mode.ENUMERATE_ALL, "brute"))
                     least = found[0] if found else None
-                    assert match_dispatch(monotone) == match_bruteforce(monotone) == least
+                    assert match(monotone, t) == match(monotone, t, engine="brute") == least
 
 
 def test_dispatch_engine_table():
     p = parse_pattern("[3 1] 2")
     for engine in ("auto", "brute", "backtrack"):
         for mode in Mode:
-            expected = match_dispatch(req(p, mode), "backtrack")
-            assert match_dispatch(req(p, mode), engine) == expected
+            assert answer(p, T, mode, engine) == answer(p, T, mode, "backtrack")
     t = Permutation(tuple(range(1, 41)))
-    big = MatchRequest(GeneralizedPattern(tuple(range(1, 11)), ()), t)
+    big = GeneralizedPattern(tuple(range(1, 11)), ())
     with pytest.raises(BudgetExceededError):
-        match_dispatch(big, "brute", budget=10**6)
-    assert match_dispatch(big, "auto", budget=0) == tuple(range(1, 11))
+        match(big, t, engine="brute", budget=10**6)
+    assert match(big, t, engine="auto", budget=0) == tuple(range(1, 11))
     with pytest.raises(ValueError, match="unknown engine"):
-        match_dispatch(big, "fo")
+        match(big, t, engine="fo")
 
 
 def test_every_embedding_answer_is_a_plain_tuple(monkeypatch):
@@ -252,31 +232,48 @@ def test_every_embedding_answer_is_a_plain_tuple(monkeypatch):
     answers = []
     for engine in ("auto", "backtrack", "brute"):
         for p in (vincular, identity, decreasing):
-            answers.append(match_dispatch(req(p), engine))
-            answers.extend(match_dispatch(req(p, Mode.ENUMERATE_ALL), engine))
+            answers.append(match(p, T, engine=engine))
+            answers.extend(match(p, T, Mode.ENUMERATE_ALL, engine))
     assert lis_calls == [2, 2]  # auto decided "1 2" and "2 1" on the LIS path
     for p in (vincular, identity, decreasing):
-        answers.append(first_embedding(p, T))
-        answers.append(match_bruteforce(req(p)))
-        answers.extend(match_bruteforce(req(p, Mode.ENUMERATE_ALL)))
+        answers.append(match(p, T))
+        answers.append(match(p, T, engine="brute"))
+        answers.extend(match(p, T, Mode.ENUMERATE_ALL, "brute"))
     assert len(answers) == 63
     assert [type(e) for e in answers] == [tuple] * len(answers)
 
 
-def test_iter_embeddings_streams_the_enumeration_and_refuses_at_the_call():
+def test_enumerate_all_streams_the_enumeration_and_refuses_at_the_call():
     p = parse_pattern("[3 1] 2")
     for engine in ("auto", "brute", "backtrack"):
-        found = iter_embeddings(p, T, engine)
+        found = match(p, T, Mode.ENUMERATE_ALL, engine)
         assert next(found) == (1, 2, 4)
         assert list(found) == [(2, 3, 5)]
-        assert list(iter_embeddings(p, T, engine)) == match_dispatch(
-            req(p, Mode.ENUMERATE_ALL), engine
-        )
     big = GeneralizedPattern(tuple(range(1, 11)), ())
+    for mode in Mode:
+        with pytest.raises(BudgetExceededError):
+            match(big, Permutation(tuple(range(1, 41))), mode, "brute", budget=10**6)
+        with pytest.raises(ValueError, match="unknown engine"):
+            match(p, T, mode, engine="fo")
+
+
+def test_the_benchmark_adapters_answer_as_match():
+    """perfbench/workloads.py calls these four names until it moves onto
+    match; each answers as match does, the budget passed on."""
+    for p in [*all_patterns(3), *map(parse_pattern, ("1 2", "2 1", "[1 2]"))]:
+        assert matcher.first_embedding(p, T) == match(p, T)
+        assert matcher.MatchRequest(p, T) == (p, T, Mode.DECIDE)
+        for mode in Mode:
+            request = matcher.MatchRequest(p, T, mode)
+            for engine in ENGINES:
+                assert matcher.match_dispatch(request, engine) == answer(p, T, mode, engine)
+            assert matcher.match_bruteforce(request) == answer(p, T, mode, "brute")
+    big = matcher.MatchRequest(GeneralizedPattern(tuple(range(1, 11)), ()),
+                               Permutation(tuple(range(1, 41))))
     with pytest.raises(BudgetExceededError):
-        iter_embeddings(big, Permutation(tuple(range(1, 41))), "brute", budget=10**6)
-    with pytest.raises(ValueError, match="unknown engine"):
-        iter_embeddings(p, T, engine="fo")
+        matcher.match_bruteforce(big, budget=10**6)
+    with pytest.raises(BudgetExceededError):
+        matcher.match_dispatch(big, "brute", budget=10**6)
 
 
 def test_value_neighbours_are_the_nearest_earlier_values():
@@ -301,7 +298,7 @@ def test_block_candidate_starts_are_the_order_isomorphic_factors():
             block = tuple(sorted(p.values[first:first + length]).index(v) + 1
                           for v in p.values[first:first + length])
             factor = GeneralizedPattern(block, ((1, length),))
-            hits = match_bruteforce(MatchRequest(factor, t, Mode.ENUMERATE_ALL))
+            hits = match(factor, t, Mode.ENUMERATE_ALL, "brute")
             assert matcher._factor_starts(order, t.values) == [e[0] - 1 for e in hits]
 
 
@@ -328,7 +325,7 @@ def test_blocks_of_one_shape_share_one_factor_scan(scanned):
         p, t = trace.stage3_pattern, trace.stage3_text
         assert len(p.blocks) == 1 + k * (k - 1) // 2
         scanned.clear()
-        found = next(matcher.iter_embeddings(p, t), None)
+        found = match(p, t)
         # one scan per block shape: the separator's and the triples' one
         assert sorted(scanned) == [(0, 2, 1), (2, 1, 0, 3)]
         assert (found is None) == (find_independent_set(g, k) is None)
@@ -336,7 +333,7 @@ def test_blocks_of_one_shape_share_one_factor_scan(scanned):
     # blocks of distinct shapes: one scan each
     scanned.clear()
     p, t = parse_pattern("[1 2] 5 [4 3] [6 8 7]"), parse_permutation("2 1 4 3 5 8 6 7 9")
-    assert list(matcher.iter_embeddings(p, t)) == list(matcher.iter_embeddings(p, t, "brute"))
+    assert answer(p, t, Mode.ENUMERATE_ALL) == answer(p, t, Mode.ENUMERATE_ALL, "brute")
     assert sorted(scanned) == [(0, 1), (0, 2, 1), (1, 0)]
 
 
@@ -347,14 +344,14 @@ def test_unit_without_a_feasible_start_ends_the_search():
     assert [unit[5] for unit in matcher._search_plan(p)] == [(), (1, 0)]
     assert matcher._factor_starts((1, 0), t.values) == [0]
     assert list(matcher._iter_backtracking(p, t)) == []
-    assert match_bruteforce(MatchRequest(p, t, Mode.COUNT)) == 0
+    assert match(p, t, Mode.COUNT, "brute") == 0
 
 
 def test_no_earlier_block_is_scanned_after_a_unit_without_a_feasible_start(scanned):
     # 1 2 3 4 5 has no descending factor, so [4 3] has no start at all and
     # the right-to-left set-up ends before it reaches [1 2]
     p, t = parse_pattern("[1 2] [4 3]"), parse_permutation("1 2 3 4 5")
-    assert list(matcher.iter_embeddings(p, t)) == []
+    assert list(match(p, t, Mode.ENUMERATE_ALL)) == []
     assert scanned == [(1, 0)]
 
 
@@ -372,10 +369,10 @@ def patterns_and_texts(draw):
 def assert_backtracking_equals_brute(p, t):
     """Backtracking enumerates brute's embeddings in brute's order, DECIDE
     answers the first of them and COUNT their number."""
-    found = list(iter_embeddings(p, t, "backtrack"))
-    assert found == list(iter_embeddings(p, t, "brute")), serialize_permutation(t)
-    assert match_dispatch(MatchRequest(p, t), "backtrack") == (found[0] if found else None)
-    assert match_dispatch(MatchRequest(p, t, Mode.COUNT), "backtrack") == len(found)
+    found = list(match(p, t, Mode.ENUMERATE_ALL, "backtrack"))
+    assert found == list(match(p, t, Mode.ENUMERATE_ALL, "brute")), serialize_permutation(t)
+    assert match(p, t, engine="backtrack") == (found[0] if found else None)
+    assert match(p, t, Mode.COUNT, "backtrack") == len(found)
 
 
 @settings(max_examples=400)
@@ -416,7 +413,7 @@ def _graph_with_answer(l, k, has_independent_set, seed):
 def test_reduced_l14_k5_instance_agrees_with_independent_set(has_independent_set):
     g = _graph_with_answer(14, 5, has_independent_set, seed=1405)
     trace = reduce(g, 5)
-    witness = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
+    witness = match(trace.stage3_pattern, trace.stage3_text)
     assert (witness is not None) == has_independent_set
     if witness is not None:
         assert is_valid_embedding(trace.stage3_pattern, trace.stage3_text, witness)

@@ -15,7 +15,7 @@ from permpat.core import (
     Permutation,
     ValidationError,
 )
-from permpat.matcher import MatchRequest, Mode, match_dispatch
+from permpat.matcher import Mode, match
 from permpat.reduction import (
     KRangeError,
     attach_separator,
@@ -183,7 +183,7 @@ def test_reduce_sizes():
     assert len(trace.stage3_pattern) == 11
     trace = reduce(K3, 3)
     assert len(trace.stage3_text) == 10
-    assert match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text)) is None
+    assert match(trace.stage3_pattern, trace.stage3_text) is None
 
 
 def test_reduce_text_bound_tight_exactly_for_edge_free_graphs():
@@ -247,9 +247,7 @@ def test_simultaneous_multiset_match_examples():
 
 def test_matched_vertices_on_the_worked_example():
     trace = reduce(REFERENCE_GRAPH, 3)
-    embeddings = match_dispatch(
-        MatchRequest(trace.stage3_pattern, trace.stage3_text, Mode.ENUMERATE_ALL), "backtrack"
-    )
+    embeddings = match(trace.stage3_pattern, trace.stage3_text, Mode.ENUMERATE_ALL, "backtrack")
     selected = {tuple(sorted(matched_vertices(trace, e))) for e in embeddings}
     independent_sets = {
         s
@@ -262,7 +260,7 @@ def test_matched_vertices_on_the_worked_example():
 
 def test_matched_vertices_refuses_a_dot_pair_across_two_vertex_pairs():
     trace = reduce(REFERENCE_GRAPH, 3)
-    witness = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
+    witness = match(trace.stage3_pattern, trace.stage3_text)
     assert witness[:6] == (3, 4, 5, 6, 9, 10)  # vertices 2, 3 and 5
     # the third dot pair on text positions 8 and 10: the second dot of
     # vertex 4, then that of vertex 5.  No matcher witness does this, and
@@ -277,7 +275,7 @@ def test_matched_vertices_refuses_a_dot_pair_across_two_vertex_pairs():
 
 def test_matched_vertices_refuses_a_witness_of_the_wrong_length():
     trace = reduce(REFERENCE_GRAPH, 3)
-    witness = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
+    witness = match(trace.stage3_pattern, trace.stage3_text)
     for wrong in (witness[:-1], witness + (len(trace.stage3_text),)):
         with pytest.raises(ValueError) as err:
             matched_vertices(trace, wrong)
@@ -348,7 +346,7 @@ def test_end_to_end_agreement_small_random():
         expected = find_independent_set(g, k) is not None
         multiset = simultaneous_multiset_witness(trace.stage1_pattern, trace.stage1_text)
         assert (multiset is not None) == expected
-        final = match_dispatch(MatchRequest(trace.stage3_pattern, trace.stage3_text))
+        final = match(trace.stage3_pattern, trace.stage3_text)
         assert (final is not None) == expected
 
 
@@ -365,4 +363,4 @@ def test_separator_probe_matches_reduced_text_exactly_once():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 7))
         trace = reduce(g, 1)
-        assert match_dispatch(MatchRequest(probe, trace.stage3_text, Mode.COUNT), "backtrack") == 1
+        assert match(probe, trace.stage3_text, Mode.COUNT, "backtrack") == 1

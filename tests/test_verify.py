@@ -12,7 +12,7 @@ from permpat.cli import main
 from permpat.core import (
     DEFAULT_BUDGET, BudgetExceededError, GeneralizedPattern, Graph, Permutation
 )
-from permpat.matcher import MatchRequest, Mode, match_dispatch
+from permpat.matcher import Mode, match
 from permpat.verify import (
     all_block_configs,
     all_patterns,
@@ -129,30 +129,30 @@ def test_run_suites_all_includes_the_lis_fast_path():
     assert expected <= set(names)
 
 
-def _last_embedding(req, engine="auto", budget=DEFAULT_BUDGET):
+def _last_embedding(pattern, text, mode=Mode.DECIDE, engine="auto", budget=DEFAULT_BUDGET):
     """A wrong auto decider: a valid witness, but the greatest one, not the
     least.  Every other engine and mode answers correctly."""
-    if req.mode is not Mode.DECIDE or engine != "auto":
-        return match_dispatch(req, engine, budget)
-    found = match_dispatch(MatchRequest(req.pattern, req.text, Mode.ENUMERATE_ALL))
+    if mode is not Mode.DECIDE or engine != "auto":
+        return match(pattern, text, mode, engine, budget)
+    found = list(match(pattern, text, Mode.ENUMERATE_ALL))
     return found[-1] if found else None
 
 
-def _brute_out_of_order(req, engine="auto", budget=DEFAULT_BUDGET):
+def _brute_out_of_order(pattern, text, mode=Mode.DECIDE, engine="auto", budget=DEFAULT_BUDGET):
     """A wrong brute engine: every embedding, but in reverse lexicographic order."""
-    found = match_dispatch(req, engine, budget)
-    if engine == "brute" and req.mode is Mode.ENUMERATE_ALL:
-        return found[::-1]
+    found = match(pattern, text, mode, engine, budget)
+    if engine == "brute" and mode is Mode.ENUMERATE_ALL:
+        return list(found)[::-1]
     return found
 
 
 def test_suites_reject_a_witness_that_is_not_the_least(monkeypatch):
-    monkeypatch.setattr(verify, "match_dispatch", _last_embedding)
+    monkeypatch.setattr(verify, "match", _last_embedding)
     lis = {r.name: r for r in suite_lis(samples=30, seed=1)}
     assert not lis["lis fast path"].ok
     fo = {r.name: r for r in suite_fo(max_n=4, max_k=3, samples=0, seed=1)}
     assert not fo["fo decider agreement"].ok
-    monkeypatch.setattr(verify, "match_dispatch", _brute_out_of_order)
+    monkeypatch.setattr(verify, "match", _brute_out_of_order)
     engines = {r.name: r for r in suite_engines(max_n=4, max_k=3, samples=0, seed=1)}
     assert not engines["engine equivalence"].ok
 
@@ -161,56 +161,55 @@ def _decide_fault(witness):
     """A decider that, on every YES instance of a reduced pattern with k = 2
     (11 positions), answers witness(|P|) instead of the true witness."""
 
-    def dispatch(req, engine="auto", budget=DEFAULT_BUDGET):
-        found = match_dispatch(req, engine, budget)
-        if req.mode is Mode.DECIDE and found is not None and req.pattern.k == 11:
-            return witness(req.pattern.k)
+    def faulty(pattern, text, mode=Mode.DECIDE, engine="auto", budget=DEFAULT_BUDGET):
+        found = match(pattern, text, mode, engine, budget)
+        if mode is Mode.DECIDE and found is not None and pattern.k == 11:
+            return witness(pattern.k)
         return found
 
-    return dispatch
+    return faulty
 
 
 def test_a_reduction_witness_must_decode_to_an_independent_set(monkeypatch):
     # positions 1..|P| put the two dot pairs on text dot pairs 1 and 2, so
     # they select vertices 1 and 2 whether or not the graph joins them
-    monkeypatch.setattr(verify, "match_dispatch",
-                        _decide_fault(lambda size: tuple(range(1, size + 1))))
+    monkeypatch.setattr(verify, "match", _decide_fault(lambda size: tuple(range(1, size + 1))))
     result = {r.name: r for r in SUITES["reduction"]()}["independent set vs matcher"]
     assert not result.ok
     graph, k = parse_graph(result.counterexample.removeprefix("graph:\n"))
     assert k == 2 and graph.has_edge(1, 2)
     # positions 2..|P|+1 put the first dot pair on an odd text position,
     # which decodes to no vertex: a refutation, not a crash
-    monkeypatch.setattr(verify, "match_dispatch",
-                        _decide_fault(lambda size: tuple(range(2, size + 2))))
+    monkeypatch.setattr(verify, "match", _decide_fault(lambda size: tuple(range(2, size + 2))))
     result = {r.name: r for r in SUITES["reduction"]()}["independent set vs matcher"]
     assert not result.ok
     _graph(result.counterexample)
 
 
 def _backtrack_fault(change):
-    """A backtracking engine whose enumeration passes through change(req, found)."""
+    """A backtracking engine whose enumeration passes through
+    change(pattern, text, found), found listed."""
 
-    def dispatch(req, engine="auto", budget=DEFAULT_BUDGET):
-        found = match_dispatch(req, engine, budget)
-        if engine == "backtrack" and req.mode is Mode.ENUMERATE_ALL:
-            return change(req, found)
+    def faulty(pattern, text, mode=Mode.DECIDE, engine="auto", budget=DEFAULT_BUDGET):
+        found = match(pattern, text, mode, engine, budget)
+        if engine == "backtrack" and mode is Mode.ENUMERATE_ALL:
+            return change(pattern, text, list(found))
         return found
 
-    return dispatch
+    return faulty
 
 
-def _doubles_blocked_patterns(req, found):
+def _doubles_blocked_patterns(pattern, text, found):
     """Blocks ignored, and every classical embedding reported twice."""
-    if not req.pattern.blocks:
+    if not pattern.blocks:
         return found
-    classical = GeneralizedPattern(req.pattern.values, ())
-    return 2 * match_dispatch(MatchRequest(classical, req.text, Mode.ENUMERATE_ALL))
+    classical = GeneralizedPattern(pattern.values, ())
+    return 2 * list(match(classical, text, Mode.ENUMERATE_ALL))
 
 
-def _count_one_too_many(req, engine="auto", budget=DEFAULT_BUDGET):
-    found = match_dispatch(req, engine, budget)
-    return found + 1 if req.mode is Mode.COUNT else found
+def _count_one_too_many(pattern, text, mode=Mode.DECIDE, engine="auto", budget=DEFAULT_BUDGET):
+    found = match(pattern, text, mode, engine, budget)
+    return found + 1 if mode is Mode.COUNT else found
 
 
 def _reduce_one_too_long(g, k):
@@ -253,14 +252,14 @@ SUITES = {
 # (fault: the module attribute it replaces and the replacement, suite,
 # the check it must refute, that check's counterexample format)
 FAULTS = [
-    ((verify, "match_dispatch", _brute_out_of_order), "engines",
+    ((verify, "match", _brute_out_of_order), "engines",
      "engine equivalence", _pattern_text),
     ((verify, "is_valid_embedding", lambda p, t, e: False), "engines",
      "embedding validity", _pattern_text),
-    ((verify, "match_dispatch", _backtrack_fault(_doubles_blocked_patterns)), "engines",
+    ((verify, "match", _backtrack_fault(_doubles_blocked_patterns)), "engines",
      "adjacency monotonicity", _pattern_text),
-    ((verify, "match_dispatch",
-      _backtrack_fault(lambda req, found: found if req.pattern.blocks else [])), "engines",
+    ((verify, "match",
+      _backtrack_fault(lambda pattern, text, found: found if pattern.blocks else [])), "engines",
      "classical consistency", _pattern_text),
     ((GeneralizedPattern, "complement", lambda self: self), "engines",
      "complement symmetry", _pattern_text),
@@ -270,13 +269,13 @@ FAULTS = [
      "multiset stage vs oracle", _graph),
     ((verify, "simultaneous_multiset_witness", lambda p, t: None), "reduction",
      "multiset stage vs final stage", _graph),
-    ((verify, "match_dispatch", _count_one_too_many), "reduction",
+    ((verify, "match", _count_one_too_many), "reduction",
      "separator uniqueness", _graph),
     ((verify, "reduce", _reduce_one_too_long), "reduction",
      "size identities", _graph),
     ((verify, "_ALT_ASSIGN", lambda j, t, m: j + 0.45 - 0.4 * t / (m + 1)), "reduction",
      "rank stability", _graph),
-    ((verify, "match_dispatch", _last_embedding), "fo",
+    ((verify, "match", _last_embedding), "fo",
      "fo decider agreement", _pattern_text),
     ((verify, "is_valid_embedding", lambda p, t, e: False), "fo",
      "fo witness validity", _pattern_text),
