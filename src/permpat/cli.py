@@ -3,6 +3,9 @@
 Four subcommands: ``match`` decides/counts/enumerates matchings, ``reduce``
 turns a graph file into a pattern/text instance, ``encode-fo`` exports the
 first-order form of an instance, and ``verify`` runs the property suites.
+``reduce`` writes its instance as it makes it, from closed-form ranks,
+holding one byte per text value; with ``--trace`` it builds and keeps
+every stage instead.
 
 Exit codes: 0 affirmative / all checks passed, 1 negative result or a
 refuted property (with counterexample), 2 usage error, 3 parse or
@@ -28,13 +31,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import deque
 from functools import cache
-from itertools import islice
+from itertools import islice, repeat
+from typing import Iterator
 
 from .core import DEFAULT_BUDGET, BudgetExceededError, ValidationError, _check_budget
 from .folog import _instance_lines, encode_formula, model_check
 from .matcher import ENGINES, Mode, match
-from .reduction import KRangeError, format_trace, reduce
+from .reduction import KRangeError, _closed_form, _refuse, format_trace, reduce
 from .textio import (
     ParseError,
     are_int_tokens,
@@ -119,6 +124,39 @@ def _cmd_match(args: argparse.Namespace) -> int:
     return EXIT_OK if result else EXIT_NEGATIVE
 
 
+def _write_ranks(path: str, batches: Iterator[tuple[int, list[int]]], l: int,
+                 non_edges: int, brackets: bool) -> int:
+    """Write one side of a reduced instance as ``reduction._closed_form``
+    makes it, a write per batch, units of width 3 and 4 bracketed when
+    brackets is set; returns its length.  It counts 2l dot values, one
+    separator of 4 and 3 values per non-edge, and proves the values a
+    permutation of 1..2l + 3*non_edges + 4 with one mark per value."""
+    n = 2 * l + 3 * non_edges + 4
+    name = path.rpartition(".")[2]
+    marks, found = bytearray(n + 1), dict.fromkeys((1, 4, 3), 0)
+    with open(path, "w", encoding="utf-8") as handle:
+        write, space = handle.write, ""
+        for width, values in batches:
+            if min(values) < 1 or max(values) > n:
+                raise ValidationError(f"{name}: a value outside 1..{n}")
+            deque(map(marks.__setitem__, values, repeat(1)), 0)  # marks[v] = 1, in C
+            found[width] += len(values)
+            if brackets and width > 1:
+                unit = "[" + " ".join(["%d"] * width) + "]"
+                write(space + " ".join([unit] * (len(values) // width)) % tuple(values))
+            else:
+                write(space + " ".join(map(str, values)))
+            space = " "
+        write("\n")
+    expected = {1: 2 * l, 4: 4, 3: 3 * non_edges}
+    if found != expected:
+        raise ValidationError(f"{name}: {found} values in units of width 1, 4 and 3, "
+                              f"expected {expected}")
+    if marks.count(1) != n:
+        raise ValidationError(f"{name}: a repeated value, so not a permutation of 1..{n}")
+    return n
+
+
 def _cmd_reduce(args: argparse.Namespace) -> int:
     prefix = _file(args.output)  # refused before the instance is built
     graph, file_k = parse_graph(_read_file(args.graph))
@@ -127,16 +165,23 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         print("error: no k given (neither -k nor a 'k' line in the graph file)",
               file=sys.stderr)
         return EXIT_USAGE
-    trace = reduce(graph, k)
-    with open(prefix + ".pattern", "w", encoding="utf-8") as handle:
-        handle.write(serialize_pattern(trace.stage3_pattern) + "\n")
-    with open(prefix + ".text", "w", encoding="utf-8") as handle:
-        handle.write(serialize_permutation(trace.stage3_text) + "\n")
-    if args.trace:
+    if args.trace:  # the staged path, every stage held for the audit
+        trace = reduce(graph, k)
+        with open(prefix + ".pattern", "w", encoding="utf-8") as handle:
+            handle.write(serialize_pattern(trace.stage3_pattern) + "\n")
+        with open(prefix + ".text", "w", encoding="utf-8") as handle:
+            handle.write(serialize_permutation(trace.stage3_text) + "\n")
         with open(prefix + ".trace", "w", encoding="utf-8") as handle:
             handle.write(format_trace(trace))
-    print(f"|P| = {len(trace.stage3_pattern)}")
-    print(f"|T| = {len(trace.stage3_text)}")
+        sizes = len(trace.stage3_pattern), len(trace.stage3_text)
+    else:  # the closed form, written as it is made: one byte of marks per value
+        _refuse(graph, k)
+        l, non_edges = graph.l, graph.l * (graph.l - 1) // 2 - graph.m
+        sizes = (_write_ranks(prefix + ".pattern", _closed_form(k), k, k * (k - 1) // 2, True),
+                 _write_ranks(prefix + ".text", _closed_form(l, graph.edges), l, non_edges,
+                              False))
+    print(f"|P| = {sizes[0]}")
+    print(f"|T| = {sizes[1]}")
     return EXIT_OK
 
 

@@ -26,6 +26,11 @@ independent set of size k:
 
 The final pattern always has length 4 + (3k^2 + k)/2; the text has length
 2l + 3 * (non-edge count) + 4.
+
+``_closed_form`` yields stage 3's values in batches straight from vertex
+degrees, building no stage; ``permpat reduce`` without ``--trace`` writes
+it, and verify's "closed-form ranks" check holds it to the staged path,
+with which it shares no code.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, count
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     GeneralizedPattern,
@@ -111,6 +116,14 @@ def _halves(l: int, pairs: Iterable[tuple[int, int]]) -> MultisetHalves:
     return MultisetHalves(tuple(range(1, l + 1)), tuple((i, j, i) for i, j in pairs))
 
 
+def _refuse(g: Graph, k: int) -> None:
+    """KRangeError for a k outside 1..l, then the budget refusal of a final
+    text longer than 10^8 values; both before anything is built."""
+    if not 1 <= k <= g.l:
+        raise KRangeError(f"subset size k={k} outside 1..{g.l}")
+    _check_budget(2 * g.l + 3 * (g.l * (g.l - 1) // 2 - g.m) + 4, "|T|")
+
+
 def build_multiset_instance(g: Graph, k: int) -> tuple[MultisetHalves, MultisetHalves]:
     """Stage 1: vertex-list halves plus pair-encoding bar halves.
 
@@ -118,10 +131,65 @@ def build_multiset_instance(g: Graph, k: int) -> tuple[MultisetHalves, MultisetH
     graph's non-edges.  Both are in lexicographic order.  Refuses, before
     building anything, a final text longer than the budget.
     """
-    if not 1 <= k <= g.l:
-        raise KRangeError(f"subset size k={k} outside 1..{g.l}")
-    _check_budget(2 * g.l + 3 * (g.l * (g.l - 1) // 2 - g.m) + 4, "|T|")
+    _refuse(g, k)
     return _halves(k, combinations(range(1, k + 1), 2)), _halves(g.l, g.non_edges())
+
+
+_BATCH = 4096  # the most values one batch of _closed_form holds
+
+
+def _closed_form(l: int, edges: frozenset[tuple[int, int]] = frozenset()
+                 ) -> Iterator[tuple[int, list[int]]]:
+    """Stage 3's values straight from the graph, with no stage built: batches
+    of (width, values), width 1 for the dot half, 4 for the separator and 3
+    for the bar triples, each batch a whole number of units of its width and
+    at most _BATCH values.  The reduced pattern is the same map on the
+    edgeless graph on k vertices, its units of width 3 and 4 its blocks.
+
+    Vertex v has c_v bar occurrences, 2 per non-edge (v, .) and 1 per
+    non-edge (., v).  With off_v = sum over u < v of (c_u + 2) and
+    N = 2l + sum of c_v, dot v is (off_v + c_v + 2, off_v + 1), the
+    separator is N + 3, N + 2, N + 1, N + 4, and the t-th bar occurrence of
+    v, in non-edge order, is off_v + t + 1.  Non-edges are walked row by row
+    in lexicographic order; only per-vertex counts and one row are held.
+    """
+    up, down, above = [0] * (l + 1), [0] * (l + 1), {}
+    for u, v in edges:  # u < v
+        up[u] += 1
+        down[v] += 1
+        above.setdefault(u, set()).add(v)
+    off, dots = [0] * (l + 2), []
+    for v in range(1, l + 1):
+        c = 2 * (l - v - up[v]) + (v - 1 - down[v])
+        dots += (off[v] + c + 2, off[v] + 1)
+        off[v + 1] = off[v] + c + 2
+    for start in range(0, 2 * l, _BATCH):
+        yield 1, dots[start:start + _BATCH]
+    n = off[l + 1]
+    yield 4, [n + 3, n + 2, n + 1, n + 4]
+    # non-edge (u, v) is v's (u - e)-th occurrence, e its edges (w, v) with w < u:
+    # low[v] + u with low[v] = off_v + 1 - e
+    low = [o + 1 for o in off]
+    batch, cut = [], _BATCH - _BATCH % 3
+    for u in range(1, l):
+        near = above.get(u)
+        if near is None:
+            second = [x + u for x in low[u + 1:l + 1]]
+        else:
+            second = [low[v] + u for v in range(u + 1, l + 1) if v not in near]
+            for v in near:
+                low[v] -= 1
+        first = off[u] + 2 + (u - 1 - down[u])  # after u's occurrences as the larger end
+        row = [0] * (3 * len(second))
+        row[0::3] = range(first, first + 2 * len(second), 2)
+        row[1::3] = second
+        row[2::3] = range(first + 1, first + 2 * len(second), 2)
+        batch += row
+        while len(batch) >= cut:
+            yield 3, batch[:cut]
+            del batch[:cut]
+    if batch:
+        yield 3, batch
 
 
 def _bar_counts(h: MultisetHalves) -> Counter:

@@ -210,12 +210,29 @@ def _int_fields(fields: list[str], lineno: int, what: str) -> list[int]:
     return list(map(int, fields))
 
 
+def _graph(l: int, pairs: list[list[int]], linenos: list[int]) -> Graph:
+    """Graph(l, pairs), core checking each edge once; the edge it refuses is
+    named again, by the same rule walked in file order, with its line."""
+    try:
+        return Graph(l, pairs)
+    except ValidationError:
+        edges: set[tuple[int, int]] = set()
+        for pair, lineno in zip(pairs, linenos):
+            try:
+                _add_edge(edges, pair, l)
+            except ValidationError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+        raise
+
+
 def parse_graph(text: str) -> tuple[Graph, int | None]:
     """Parse the line-oriented graph format; returns the graph and the
-    optional subset size carried by a "k" line."""
+    optional subset size carried by a "k" line.  Of several faults, the
+    first in the file is reported."""
     header: tuple[int, ...] | None = None
     k: int | None = None
-    edges: set[tuple[int, int]] = set()
+    pairs: list[list[int]] = []  # the edges in file order, checked once, by Graph
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -226,7 +243,7 @@ def parse_graph(text: str) -> tuple[Graph, int | None]:
                 raise ParseError("expected header 'p <l> <m>'", line=lineno)
             header = tuple(_int_fields(fields[1:], lineno, "header"))
             continue
-        if fields[0] == "k" and not edges and k is None:
+        if fields[0] == "k" and not pairs and k is None:
             if len(fields) != 2:
                 raise ParseError("k line: expected 'k <k>'", line=lineno)
             (value,) = _int_fields(fields[1:], lineno, "k line")
@@ -234,18 +251,21 @@ def parse_graph(text: str) -> tuple[Graph, int | None]:
                 raise ParseError(f"k must be positive, got {value}", line=lineno)
             k = value
             continue
-        if len(fields) != 2:
-            raise ParseError("edge: expected '<u> <v>'", line=lineno)
-        try:  # _int_fields raises its own ParseError
-            _add_edge(edges, _int_fields(fields, lineno, "edge"), header[0])
-        except ValidationError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+        try:
+            if len(fields) != 2:
+                raise ParseError("edge: expected '<u> <v>'", line=lineno)
+            pairs.append(_int_fields(fields, lineno, "edge"))
+        except ParseError:
+            _graph(header[0], pairs, linenos)  # an earlier bad edge is named first
+            raise
+        linenos.append(lineno)
     if header is None:
         raise ParseError("missing header 'p <l> <m>'")
     l, m = header
-    if len(edges) != m:
-        raise ParseError(f"wrong edge count: header says {m}, found {len(edges)}")
-    return Graph(l, frozenset(edges)), k
+    graph = _graph(l, pairs, linenos)
+    if len(pairs) != m:
+        raise ParseError(f"wrong edge count: header says {m}, found {len(pairs)}")
+    return graph, k
 
 
 def serialize_graph(g: Graph, k: int | None = None) -> str:

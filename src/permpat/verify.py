@@ -19,6 +19,7 @@ from .matcher import Mode, is_valid_embedding, lis_length, match
 from .folog import FoFormula, encode_formula, model_check
 from .reduction import (
     ReductionTrace,
+    _closed_form,
     deduplicate_with_reals,
     find_independent_set,
     matched_vertices,
@@ -281,6 +282,20 @@ def _selects_independent_set(g: Graph, trace: ReductionTrace, e: tuple[int, ...]
     return len(chosen) == trace.k and not any(g.has_edge(*uv) for uv in combinations(chosen, 2))
 
 
+def _closed_form_instance(l: int, edges: frozenset[tuple[int, int]] = frozenset()
+                          ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """``_closed_form``'s values in one tuple, and its units of width 3 and 4
+    as blocks: the instance it streams, laid out as the staged path lays it."""
+    values: list[int] = []
+    blocks: list[tuple[int, int]] = []
+    for width, batch in _closed_form(l, edges):
+        if width > 1:
+            starts = range(len(values) + 1, len(values) + len(batch), width)
+            blocks += [(start, start + width - 1) for start in starts]
+        values += batch
+    return tuple(values), tuple(blocks)
+
+
 def suite_reduction(
     max_l: int = 6, max_k: int = 3, samples: int = 200, seed: int = 0
 ) -> list[CheckResult]:
@@ -304,7 +319,11 @@ def suite_reduction(
     ranks = CheckResult("rank stability", _graph_label,
                         "two interval assignment schemes rank identically on {instances} "
                         "instances")
+    closed = CheckResult("closed-form ranks", _graph_label,
+                         "the closed-form ranks equal the staged construction on {instances} "
+                         "instances")
     for g in chain.from_iterable(graphs for _, _, graphs in _graph_family(max_l, samples, rng)):
+        closed_text = _closed_form_instance(g.l, g.edges)[0]  # the same for every k
         for k in range(1, min(max_k, g.l) + 1):
             trace = reduce(g, k)
             expected = find_independent_set(g, k) is not None
@@ -328,10 +347,16 @@ def suite_reduction(
                 and trace.stage2_text == deduplicate_with_reals(trace.stage1_text, _ALT_ASSIGN),
                 g, k,
             )
+            closed.see(
+                closed_text == trace.stage3_text.values
+                and _closed_form_instance(k)
+                == (trace.stage3_pattern.values, trace.stage3_pattern.blocks),
+                g, k,
+            )
             if k == 1:  # the text depends only on the graph; probe it once
                 hits = match(_SEPARATOR_PROBE, trace.stage3_text, Mode.COUNT, "backtrack")
                 separator.see(hits == 1, g, k)
-    return [end_to_end, multiset_oracle, multiset_final, separator, sizes, ranks]
+    return [end_to_end, multiset_oracle, multiset_final, separator, sizes, ranks, closed]
 
 
 def suite_fo(

@@ -2,6 +2,7 @@ import argparse
 import functools
 import itertools
 import os
+import random
 import resource
 import shlex
 import subprocess
@@ -484,6 +485,7 @@ def test_a_file_name_holding_a_nul_byte_exits_3(capsys, tmp_path, monkeypatch, a
     graph.write_text(SIX_VERTEX_GRAPH_TEXT)
     # the output name is refused before the instance is built
     monkeypatch.setattr(cli, "reduce", lambda *_: pytest.fail("reduce() was called"))
+    monkeypatch.setattr(cli, "_closed_form", lambda *_: pytest.fail("_closed_form() was called"))
     code, out, err = run(capsys, *(a.format(graph=graph) for a in argv))
     assert (code, out) == (3, "")
     assert err == "error: file name 'a\\x00b' holds a NUL byte\n"
@@ -547,6 +549,95 @@ def test_reduce_refuses_a_text_over_the_budget_before_building_it(capsys, monkey
     assert (code, out) == (4, "")
     assert err == "error: |T| = 600010004 exceeds budget 100000000\n"
     assert [f.name for f in tmp_path.iterdir()] == ["graph.txt"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reduce_writes_the_files_of_the_staged_path_without_trace(capsys, monkeypatch,
+                                                                  tmp_path, seed):
+    rng = random.Random(seed)
+    graph = tmp_path / "graph.txt"
+    staged = cli.reduce
+    for density in (0, 0.25, 0.5, 0.75, 1, rng.random()):
+        l = rng.randint(1, 10)
+        edges = [pair for pair in itertools.combinations(range(1, l + 1), 2)
+                 if rng.random() < density]
+        graph.write_text(f"p {l} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        for k in range(1, l + 1):
+            runs = []
+            for name, trace in (("streamed", []), ("staged", ["--trace"])):
+                # the streamed run builds no stage
+                monkeypatch.setattr(cli, "reduce", staged if trace else
+                                    lambda *_: pytest.fail("reduce() was called"))
+                prefix = tmp_path / name
+                answer = run(capsys, "reduce", str(graph), "-k", str(k), "-o", str(prefix),
+                             *trace)
+                files = [Path(f"{prefix}.{side}").read_bytes() for side in ("pattern", "text")]
+                runs.append((answer, files))
+            assert runs[0] == runs[1], (l, edges, k)
+
+
+def test_reduce_without_trace_refuses_as_the_staged_path_before_it_walks(capsys, monkeypatch,
+                                                                         tmp_path):
+    def not_before_the_refusal(*args):
+        raise AssertionError("walked the graph before the refusal")
+
+    monkeypatch.setattr(core.Graph, "non_edges", not_before_the_refusal)
+    monkeypatch.setattr(cli, "_closed_form", not_before_the_refusal)
+    graph = tmp_path / "graph.txt"
+    graph.write_text("p 20000 0\nk 2\n")
+    out = str(tmp_path / "out")
+    assert run(capsys, "reduce", str(graph), "-o", out) == (
+        4, "", "error: |T| = 600010004 exceeds budget 100000000\n")
+    for k in ("0", "20001"):
+        assert run(capsys, "reduce", str(graph), "-k", k, "-o", out) == (
+            2, "", f"error: subset size k={k} outside 1..20000\n")
+    monkeypatch.undo()
+    for k in ("0", "20001"):
+        assert run(capsys, "reduce", str(graph), "-k", k, "-o", out, "--trace") == (
+            2, "", f"error: subset size k={k} outside 1..20000\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["graph.txt"]
+
+
+def _at_most_256_mib():
+    resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+
+
+def test_reduce_streams_a_text_of_six_million_values_in_256_mib(tmp_path):
+    # the staged path holds about 180 B a text value: over 1 GB here
+    graph = tmp_path / "graph.txt"
+    graph.write_text("p 2000 0\nk 1\n")
+    proc = subprocess.run([sys.executable, "-m", "permpat", "reduce", str(graph),
+                           "-o", str(tmp_path / "out")],
+                          capture_output=True, text=True, preexec_fn=_at_most_256_mib)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "|P| = 6\n|T| = 6001004\n", "")
+
+
+def _last_value(closed_form, change):
+    """A closed form whose last value v becomes change(v, first value)."""
+
+    def faulty(l, edges=frozenset()):
+        batches = list(closed_form(l, edges))
+        batches[-1][1][-1] = change(batches[-1][1][-1], batches[0][1][0])
+        return iter(batches)
+
+    return faulty
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_last_value(cli._closed_form, lambda v, first: v + 100),
+     "error: pattern: a value outside 1..19\n"),
+    (_last_value(cli._closed_form, lambda v, first: first),
+     "error: pattern: a repeated value, so not a permutation of 1..19\n"),
+    (lambda l, edges=frozenset(): iter([(1, list(range(1, 2 * l + 5)))]),
+     "error: pattern: {1: 10, 4: 0, 3: 0} values in units of width 1, 4 and 3, "
+     "expected {1: 6, 4: 4, 3: 9}\n"),
+], ids=["range", "repeat", "layout"])
+def test_reduce_without_trace_checks_what_it_writes(capsys, monkeypatch, tmp_path,
+                                                    fault, message):
+    monkeypatch.setattr(cli, "_closed_form", fault)
+    graph = tmp_path / "graph.txt"
+    graph.write_text(SIX_VERTEX_GRAPH_TEXT)
+    assert run(capsys, "reduce", str(graph), "-o", str(tmp_path / "out")) == (3, "", message)
 
 
 def _at_most_one_gib():

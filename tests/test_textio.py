@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permpat import core, textio
 from permpat.core import Graph, ValidationError
 from permpat.textio import (
     ParseError,
@@ -139,6 +140,33 @@ def test_an_edge_error_reads_the_same_from_graph_and_from_a_file(case):
     with pytest.raises(ParseError) as err:
         parse_graph(f"p 3 {len(edges)}\n{lines}\n")
     assert str(err.value) == f"{grammar or message} (line {1 + len(edges)})"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("2 2\n1 x", "self-loop at vertex 2 (line 2)"),
+    ("1 2\n2 1\n1 2 3", "duplicate edge (1, 2) (line 3)"),
+    ("1 2\n1 x\n2 2", "edge: expected an integer, got 'x' (line 3)"),
+    ("1 2\n1 3\n4", "edge: expected '<u> <v>' (line 4)"),
+], ids=["bad-edge-then-syntax", "duplicate-then-syntax", "syntax-then-bad-edge", "syntax"])
+def test_parse_graph_reports_the_first_fault_in_the_file(lines, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(f"p 3 3\n{lines}\n")
+    assert str(err.value) == message
+
+
+def test_parse_graph_checks_each_edge_once(monkeypatch):
+    checked = []
+
+    def counting(edges, edge, l):
+        checked.append(tuple(edge))
+        add_edge(edges, edge, l)
+
+    add_edge = core._add_edge
+    monkeypatch.setattr(core, "_add_edge", counting)
+    monkeypatch.setattr(textio, "_add_edge", counting)
+    g, _ = parse_graph(SIX_VERTEX_GRAPH_TEXT)
+    assert checked == [(1, 3), (1, 4), (1, 5), (2, 6), (3, 4), (3, 6), (5, 6)]
+    assert g.edges == frozenset(checked)
 
 
 def test_parse_graph_comments_and_crlf():

@@ -220,6 +220,15 @@ def _reduce_one_too_long(g, k):
     return SimpleNamespace(**{**vars(trace), "stage3_pattern": longer})
 
 
+def _last_bar_rank_shifted(l, edges=frozenset()):
+    """A closed form whose last bar rank is one too high."""
+    batches = list(reduction._closed_form(l, edges))
+    width, values = batches[-1]
+    if width == 3:
+        values[-1] += 1
+    return iter(batches)
+
+
 def _drops_negative_literals(p):
     f = folog.encode_formula(p)
     return SimpleNamespace(var_count=f.var_count, pos_literals=f.pos_literals,
@@ -275,6 +284,8 @@ FAULTS = [
      "size identities", _graph),
     ((verify, "_ALT_ASSIGN", lambda j, t, m: j + 0.45 - 0.4 * t / (m + 1)), "reduction",
      "rank stability", _graph),
+    ((verify, "_closed_form", _last_bar_rank_shifted), "reduction",
+     "closed-form ranks", _graph),
     ((verify, "match", _last_embedding), "fo",
      "fo decider agreement", _pattern_text),
     ((verify, "is_valid_embedding", lambda p, t, e: False), "fo",
