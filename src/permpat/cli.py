@@ -3,9 +3,8 @@
 Four subcommands: ``match`` decides/counts/enumerates matchings, ``reduce``
 turns a graph file into a pattern/text instance, ``encode-fo`` exports the
 first-order form of an instance, and ``verify`` runs the property suites.
-``reduce`` writes its instance as it makes it, from closed-form ranks,
-holding one byte per text value; with ``--trace`` it builds and keeps
-every stage instead.
+``reduce`` writes its instance, and under ``--trace`` every stage of
+it, as it makes it from closed-form ranks, holding one byte per text value.
 
 Exit codes: 0 affirmative / all checks passed, 1 negative result or a
 refuted property (with counterexample), 2 usage error, 3 parse or
@@ -32,23 +31,16 @@ import argparse
 import os
 import sys
 from collections import deque
+from contextlib import suppress
 from functools import cache
-from itertools import islice, repeat
-from typing import Iterator
+from itertools import islice, repeat, takewhile
+from typing import Callable, Iterable, Iterator
 
 from .core import DEFAULT_BUDGET, BudgetExceededError, ValidationError, _check_budget
 from .folog import _instance_lines, encode_formula, model_check
 from .matcher import ENGINES, Mode, match
-from .reduction import KRangeError, _closed_form, _refuse, format_trace, reduce
-from .textio import (
-    ParseError,
-    are_int_tokens,
-    parse_graph,
-    parse_pattern,
-    parse_permutation,
-    serialize_pattern,
-    serialize_permutation,
-)
+from .reduction import KRangeError, _closed_form, _refuse, _stage1
+from .textio import ParseError, are_int_tokens, parse_graph, parse_pattern, parse_permutation
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -124,37 +116,57 @@ def _cmd_match(args: argparse.Namespace) -> int:
     return EXIT_OK if result else EXIT_NEGATIVE
 
 
-def _write_ranks(path: str, batches: Iterator[tuple[int, list[int]]], l: int,
-                 non_edges: int, brackets: bool) -> int:
-    """Write one side of a reduced instance as ``reduction._closed_form``
-    makes it, a write per batch, units of width 3 and 4 bracketed when
-    brackets is set; returns its length.  It counts 2l dot values, one
-    separator of 4 and 3 values per non-edge, and proves the values a
-    permutation of 1..2l + 3*non_edges + 4 with one mark per value."""
-    n = 2 * l + 3 * non_edges + 4
-    name = path.rpartition(".")[2]
+def _line(write: Callable[[str], object], head: str,
+          batches: Iterable[tuple[int, list[int]]], brackets: bool) -> None:
+    """Write head, then the values of ``reduction._closed_form``-shaped
+    batches space separated, units of width 3 and 4 bracketed when brackets
+    is set, then a newline: a write per batch, so no line is held whole."""
+    write(head)
+    space = ""
+    for width, values in batches:
+        if brackets and width > 1:
+            unit = "[" + " ".join(["%d"] * width) + "]"
+            write(space + " ".join([unit] * (len(values) // width)) % tuple(values))
+        else:
+            write(space + " ".join(map(str, values)))
+        space = " "
+    write("\n")
+
+
+def _checked(batches: Iterator[tuple[int, list[int]]], name: str, l: int,
+             n: int) -> Iterator[tuple[int, list[int]]]:
+    """One side of the instance on l vertices as it passes, proven to hold 2l
+    dot values, a separator of 4, n - 2l - 4 bar values and a permutation of
+    1..n (a mark per value); a failure is permpat's fault: exit 70."""
     marks, found = bytearray(n + 1), dict.fromkeys((1, 4, 3), 0)
-    with open(path, "w", encoding="utf-8") as handle:
-        write, space = handle.write, ""
-        for width, values in batches:
-            if min(values) < 1 or max(values) > n:
-                raise ValidationError(f"{name}: a value outside 1..{n}")
-            deque(map(marks.__setitem__, values, repeat(1)), 0)  # marks[v] = 1, in C
-            found[width] += len(values)
-            if brackets and width > 1:
-                unit = "[" + " ".join(["%d"] * width) + "]"
-                write(space + " ".join([unit] * (len(values) // width)) % tuple(values))
-            else:
-                write(space + " ".join(map(str, values)))
-            space = " "
-        write("\n")
-    expected = {1: 2 * l, 4: 4, 3: 3 * non_edges}
+    for width, values in batches:
+        if min(values) < 1 or max(values) > n:
+            raise RuntimeError(f"{name}: a value outside 1..{n}")
+        deque(map(marks.__setitem__, values, repeat(1)), 0)  # marks[v] = 1, in C
+        found[width] += len(values)
+        yield width, values
+    expected = {1: 2 * l, 4: 4, 3: n - 2 * l - 4}
     if found != expected:
-        raise ValidationError(f"{name}: {found} values in units of width 1, 4 and 3, "
-                              f"expected {expected}")
+        raise RuntimeError(f"{name}: {found} values in units of width 1, 4 and 3, "
+                           f"expected {expected}")
     if marks.count(1) != n:
-        raise ValidationError(f"{name}: a repeated value, so not a permutation of 1..{n}")
-    return n
+        raise RuntimeError(f"{name}: a repeated value, so not a permutation of 1..{n}")
+
+
+def _write_trace(write: Callable[[str], object], sides: list, sizes: list[int]) -> None:
+    """The audit dump, every line from closed forms: stage 1 from
+    ``_stage1``, stage 2 as stage 3 without its separator (which lies above
+    every stage-2 value), stage 3 as the pattern and text files' lines."""
+    for stage, form in (("stage1", _stage1), ("stage2", _closed_form)):
+        write(f"[{stage}]\n")
+        for name, l, edges, _ in sides:
+            _line(write, f"{name}.dot: ", takewhile(lambda b: b[0] == 1, form(l, edges)), True)
+            _line(write, f"{name}.bar: ", (b for b in form(l, edges) if b[0] == 3), True)
+    write("[stage3]\n")
+    for name, l, edges, brackets in sides:
+        _line(write, f"{name}: ", _closed_form(l, edges), brackets)
+    write("[parameters]\nk: %d\nl: %d\npattern_length: %d\ntext_length: %d\n"
+          % (sides[0][1], sides[1][1], *sizes))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -165,23 +177,26 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         print("error: no k given (neither -k nor a 'k' line in the graph file)",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.trace:  # the staged path, every stage held for the audit
-        trace = reduce(graph, k)
-        with open(prefix + ".pattern", "w", encoding="utf-8") as handle:
-            handle.write(serialize_pattern(trace.stage3_pattern) + "\n")
-        with open(prefix + ".text", "w", encoding="utf-8") as handle:
-            handle.write(serialize_permutation(trace.stage3_text) + "\n")
-        with open(prefix + ".trace", "w", encoding="utf-8") as handle:
-            handle.write(format_trace(trace))
-        sizes = len(trace.stage3_pattern), len(trace.stage3_text)
-    else:  # the closed form, written as it is made: one byte of marks per value
-        _refuse(graph, k)
-        l, non_edges = graph.l, graph.l * (graph.l - 1) // 2 - graph.m
-        sizes = (_write_ranks(prefix + ".pattern", _closed_form(k), k, k * (k - 1) // 2, True),
-                 _write_ranks(prefix + ".text", _closed_form(l, graph.edges), l, non_edges,
-                              False))
-    print(f"|P| = {sizes[0]}")
-    print(f"|T| = {sizes[1]}")
+    _refuse(graph, k)
+    # the pattern side is the text side of the edgeless graph on k vertices
+    sides = [("pattern", k, frozenset(), True), ("text", graph.l, graph.edges, False)]
+    sizes = [2 * l + 3 * (l * (l - 1) // 2 - len(edges)) + 4 for _, l, edges, _ in sides]
+    opened = []
+    try:  # written as made, one byte of marks per value; no file outlives a fault
+        for (name, l, edges, brackets), n in zip(sides, sizes):
+            with open(f"{prefix}.{name}", "w", encoding="utf-8") as handle:
+                opened.append(handle.name)
+                _line(handle.write, "", _checked(_closed_form(l, edges), name, l, n), brackets)
+        if args.trace:
+            with open(prefix + ".trace", "w", encoding="utf-8") as handle:
+                opened.append(handle.name)
+                _write_trace(handle.write, sides, sizes)
+    except BaseException:
+        for name in opened:
+            with suppress(OSError):
+                os.remove(name)
+        raise
+    print(f"|P| = {sizes[0]}\n|T| = {sizes[1]}")
     return EXIT_OK
 
 

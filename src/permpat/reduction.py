@@ -27,10 +27,10 @@ independent set of size k:
 The final pattern always has length 4 + (3k^2 + k)/2; the text has length
 2l + 3 * (non-edge count) + 4.
 
-``_closed_form`` yields stage 3's values in batches straight from vertex
-degrees, building no stage; ``permpat reduce`` without ``--trace`` writes
-it, and verify's "closed-form ranks" check holds it to the staged path,
-with which it shares no code.
+``_closed_form`` and ``_stage1`` yield stage 3's and stage 1's values in
+batches straight from the graph, building no stage; ``permpat reduce``
+writes from them alone.  verify's "closed-form ranks" check holds
+``_closed_form`` to the staged path, with which it shares no code.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ __all__ = [
     "find_independent_set",
     "simultaneous_multiset_witness",
     "matched_vertices",
-    "format_trace",
 ]
 
 class KRangeError(ValueError):
@@ -190,6 +189,17 @@ def _closed_form(l: int, edges: frozenset[tuple[int, int]] = frozenset()
             del batch[:cut]
     if batch:
         yield 3, batch
+
+
+def _stage1(l: int, edges: frozenset[tuple[int, int]]) -> Iterator[tuple[int, list[int]]]:
+    """Stage 1's values in ``_closed_form``'s batches, with no stage built:
+    the dot half 1..l, then one batch of width 3 per row u, holding
+    (u, v, u) for each non-edge (u, v) in ascending v."""
+    yield 1, list(range(1, l + 1))
+    for u in range(1, l):
+        row = [x for v in range(u + 1, l + 1) if (u, v) not in edges for x in (u, v, u)]
+        if row:
+            yield 3, row
 
 
 def _bar_counts(h: MultisetHalves) -> Counter:
@@ -351,30 +361,3 @@ def matched_vertices(trace: ReductionTrace, positions: tuple[int, ...]) -> tuple
         vertices.append(second // 2)
     return tuple(vertices)
 
-
-def _format_halves(h: MultisetHalves, side: str) -> list[str]:
-    dot = " ".join(str(v) for v in h.dot)
-    bar = " ".join("[" + " ".join(str(v) for v in block) + "]" for block in h.bar)
-    return [f"{side}.dot: {dot}", f"{side}.bar: {bar}"]
-
-
-def format_trace(trace: ReductionTrace) -> str:
-    """Line-oriented audit dump: one section per stage, values space
-    separated, blocks bracketed."""
-    from .textio import serialize_pattern, serialize_permutation
-
-    lines = ["[stage1]"]
-    lines += _format_halves(trace.stage1_pattern, "pattern")
-    lines += _format_halves(trace.stage1_text, "text")
-    lines.append("[stage2]")
-    lines += _format_halves(trace.stage2_pattern, "pattern")
-    lines += _format_halves(trace.stage2_text, "text")
-    lines.append("[stage3]")
-    lines.append(f"pattern: {serialize_pattern(trace.stage3_pattern)}")
-    lines.append(f"text: {serialize_permutation(trace.stage3_text)}")
-    lines.append("[parameters]")
-    lines.append(f"k: {trace.k}")
-    lines.append(f"l: {trace.l}")
-    lines.append(f"pattern_length: {len(trace.stage3_pattern)}")
-    lines.append(f"text_length: {len(trace.stage3_text)}")
-    return "\n".join(lines) + "\n"

@@ -12,11 +12,16 @@ from pathlib import Path
 import pytest
 
 import permpat
-from permpat import cli, core, matcher, verify
+from permpat import cli, core, matcher, reduction, verify
 from permpat.cli import EXIT_INTERNAL, main
 from permpat.folog import parse_instance
 from permpat.matcher import Mode, is_valid_embedding, match
-from permpat.textio import parse_pattern, parse_permutation
+from permpat.textio import (
+    parse_pattern,
+    parse_permutation,
+    serialize_pattern,
+    serialize_permutation,
+)
 
 SIX_VERTEX_GRAPH_TEXT = "p 6 7\nk 3\n1 3\n1 4\n1 5\n2 6\n3 4\n3 6\n5 6\n"
 
@@ -484,7 +489,6 @@ def test_a_file_name_holding_a_nul_byte_exits_3(capsys, tmp_path, monkeypatch, a
     graph = tmp_path / "graph.txt"
     graph.write_text(SIX_VERTEX_GRAPH_TEXT)
     # the output name is refused before the instance is built
-    monkeypatch.setattr(cli, "reduce", lambda *_: pytest.fail("reduce() was called"))
     monkeypatch.setattr(cli, "_closed_form", lambda *_: pytest.fail("_closed_form() was called"))
     code, out, err = run(capsys, *(a.format(graph=graph) for a in argv))
     assert (code, out) == (3, "")
@@ -551,29 +555,57 @@ def test_reduce_refuses_a_text_over_the_budget_before_building_it(capsys, monkey
     assert [f.name for f in tmp_path.iterdir()] == ["graph.txt"]
 
 
+def _halves_lines(h, side):
+    dot = " ".join(str(v) for v in h.dot)
+    bar = " ".join("[" + " ".join(str(v) for v in block) + "]" for block in h.bar)
+    return [f"{side}.dot: {dot}", f"{side}.bar: {bar}"]
+
+
+def _staged_dump(trace):
+    """The --trace dump of a staged ``reduce()``, from its six stage fields."""
+    lines = ["[stage1]"]
+    lines += _halves_lines(trace.stage1_pattern, "pattern")
+    lines += _halves_lines(trace.stage1_text, "text")
+    lines.append("[stage2]")
+    lines += _halves_lines(trace.stage2_pattern, "pattern")
+    lines += _halves_lines(trace.stage2_text, "text")
+    lines.append("[stage3]")
+    lines.append(f"pattern: {serialize_pattern(trace.stage3_pattern)}")
+    lines.append(f"text: {serialize_permutation(trace.stage3_text)}")
+    lines.append("[parameters]")
+    lines.append(f"k: {trace.k}")
+    lines.append(f"l: {trace.l}")
+    lines.append(f"pattern_length: {len(trace.stage3_pattern)}")
+    lines.append(f"text_length: {len(trace.stage3_text)}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_reduce_writes_the_files_of_the_staged_path_without_trace(capsys, monkeypatch,
-                                                                  tmp_path, seed):
+def test_reduce_writes_the_files_of_the_staged_path_without_trace(capsys, tmp_path, seed):
+    # with and without --trace: the streamed files against the library's staged reduce()
     rng = random.Random(seed)
     graph = tmp_path / "graph.txt"
-    staged = cli.reduce
+    prefix = tmp_path / "out"
     for density in (0, 0.25, 0.5, 0.75, 1, rng.random()):
         l = rng.randint(1, 10)
         edges = [pair for pair in itertools.combinations(range(1, l + 1), 2)
                  if rng.random() < density]
         graph.write_text(f"p {l} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
         for k in range(1, l + 1):
-            runs = []
-            for name, trace in (("streamed", []), ("staged", ["--trace"])):
-                # the streamed run builds no stage
-                monkeypatch.setattr(cli, "reduce", staged if trace else
-                                    lambda *_: pytest.fail("reduce() was called"))
-                prefix = tmp_path / name
+            staged = reduction.reduce(core.Graph(l, frozenset(edges)), k)
+            expected = {"pattern": serialize_pattern(staged.stage3_pattern) + "\n",
+                        "text": serialize_permutation(staged.stage3_text) + "\n"}
+            sizes = f"|P| = {len(staged.stage3_pattern)}\n|T| = {len(staged.stage3_text)}\n"
+            for trace in ([], ["--trace"]):
+                for old in tmp_path.glob("out.*"):
+                    old.unlink()
                 answer = run(capsys, "reduce", str(graph), "-k", str(k), "-o", str(prefix),
                              *trace)
-                files = [Path(f"{prefix}.{side}").read_bytes() for side in ("pattern", "text")]
-                runs.append((answer, files))
-            assert runs[0] == runs[1], (l, edges, k)
+                assert answer == (0, sizes, ""), (l, edges, k, trace)
+                if trace:
+                    expected["trace"] = _staged_dump(staged)
+                written = {f.suffix[1:]: f.read_text() for f in tmp_path.glob("out.*")}
+                assert written == expected, (l, edges, k, trace)
 
 
 def test_reduce_without_trace_refuses_as_the_staged_path_before_it_walks(capsys, monkeypatch,
@@ -602,6 +634,27 @@ def _at_most_256_mib():
     resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
 
 
+def test_reduce_trace_streams_every_stage_of_an_l_1000_graph_in_256_mib(tmp_path):
+    # reduce() and its stages, held whole, peak near 405 MB here
+    graph = tmp_path / "graph.txt"
+    graph.write_text("p 1000 0\nk 1\n")
+    proc = subprocess.run([sys.executable, "-m", "permpat", "reduce", str(graph),
+                           "-o", str(tmp_path / "out"), "--trace"],
+                          capture_output=True, text=True, preexec_fn=_at_most_256_mib)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "|P| = 6\n|T| = 1500504\n", "")
+
+
+def test_reduce_matches_the_golden_files_of_the_readme_graph(capsys, tmp_path):
+    # the files and dump of the staged reduce(); CI compares the installed command too
+    golden = Path(__file__).parent / "golden"
+    code, out, err = run(capsys, "reduce", str(golden / "six_vertex.txt"),
+                         "-o", str(tmp_path / "out"), "--trace")
+    assert (code, out, err) == (0, "|P| = 19\n|T| = 40\n", "")
+    for suffix in ("pattern", "text", "trace"):
+        assert (tmp_path / f"out.{suffix}").read_bytes() == (
+            golden / f"six_vertex.{suffix}").read_bytes(), suffix
+
+
 def test_reduce_streams_a_text_of_six_million_values_in_256_mib(tmp_path):
     # the staged path holds about 180 B a text value: over 1 GB here
     graph = tmp_path / "graph.txt"
@@ -625,19 +678,34 @@ def _last_value(closed_form, change):
 
 @pytest.mark.parametrize("fault, message", [
     (_last_value(cli._closed_form, lambda v, first: v + 100),
-     "error: pattern: a value outside 1..19\n"),
+     "pattern: a value outside 1..19"),
     (_last_value(cli._closed_form, lambda v, first: first),
-     "error: pattern: a repeated value, so not a permutation of 1..19\n"),
+     "pattern: a repeated value, so not a permutation of 1..19"),
     (lambda l, edges=frozenset(): iter([(1, list(range(1, 2 * l + 5)))]),
-     "error: pattern: {1: 10, 4: 0, 3: 0} values in units of width 1, 4 and 3, "
-     "expected {1: 6, 4: 4, 3: 9}\n"),
+     "pattern: {1: 10, 4: 0, 3: 0} values in units of width 1, 4 and 3, "
+     "expected {1: 6, 4: 4, 3: 9}"),
 ], ids=["range", "repeat", "layout"])
 def test_reduce_without_trace_checks_what_it_writes(capsys, monkeypatch, tmp_path,
                                                     fault, message):
+    # a closed form that breaks its own identities is a fault in permpat: exit 70,
+    # and the partly written file is removed; with --trace as without
     monkeypatch.setattr(cli, "_closed_form", fault)
     graph = tmp_path / "graph.txt"
     graph.write_text(SIX_VERTEX_GRAPH_TEXT)
-    assert run(capsys, "reduce", str(graph), "-o", str(tmp_path / "out")) == (3, "", message)
+    for trace in ([], ["--trace"]):
+        assert run(capsys, "reduce", str(graph), "-o", str(tmp_path / "out"), *trace) == (
+            70, "", f"error: internal: RuntimeError({message!r})\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["graph.txt"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_reduce_removes_every_file_it_opened_when_a_write_fails(capsys, tmp_path):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(SIX_VERTEX_GRAPH_TEXT)
+    (tmp_path / "out.trace").symlink_to("/dev/full")  # every write to it fails
+    assert run(capsys, "reduce", str(graph), "-o", str(tmp_path / "out"), "--trace") == (
+        3, "", "error: [Errno 28] No space left on device\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["graph.txt"]
 
 
 def _at_most_one_gib():

@@ -23,7 +23,6 @@ from permpat.reduction import (
     deduplicate,
     deduplicate_with_reals,
     find_independent_set,
-    format_trace,
     matched_vertices,
     reduce,
     simultaneous_multiset_witness,
@@ -324,17 +323,6 @@ def test_trace_rejects_a_text_over_the_edge_free_bound():
     with pytest.raises(ValidationError, match=r"^text length 14 exceeds bound 11$"):
         dataclasses.replace(trace, stage1_text=two_non_edges,
                             stage3_text=Permutation(tuple(range(1, 15))))
-
-
-def test_format_trace_sections_and_roundtrip_of_stage3():
-    trace = reduce(REFERENCE_GRAPH, 3)
-    dump = format_trace(trace)
-    assert "[stage1]" in dump and "[stage2]" in dump and "[stage3]" in dump
-    lines = {ln.split(":")[0]: ln for ln in dump.splitlines() if ":" in ln}
-    assert lines["pattern"].endswith(serialize_pattern(trace.stage3_pattern))
-    assert lines["k"] == "k: 3"
-    assert lines["pattern_length"] == "pattern_length: 19"
-    assert lines["text_length"] == "text_length: 40"
 
 
 def test_end_to_end_agreement_small_random():
