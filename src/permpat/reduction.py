@@ -192,9 +192,9 @@ def _closed_form(l: int, edges: frozenset[tuple[int, int]] = frozenset()
 
 
 def _stage1(l: int, edges: frozenset[tuple[int, int]]) -> Iterator[tuple[int, list[int]]]:
-    """Stage 1's values in ``_closed_form``'s batches, with no stage built:
-    the dot half 1..l, then one batch of width 3 per row u, holding
-    (u, v, u) for each non-edge (u, v) in ascending v."""
+    """Stage 1's values in (width, values) batches like ``_closed_form``'s,
+    building no stage: the dot half 1..l, then one batch of width 3 per row
+    u, holding (u, v, u) for each non-edge (u, v) in ascending v."""
     yield 1, list(range(1, l + 1))
     for u in range(1, l):
         row = [x for v in range(u + 1, l + 1) if (u, v) not in edges for x in (u, v, u)]

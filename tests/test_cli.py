@@ -543,10 +543,12 @@ def test_reduce_bad_graph_exits_3(capsys, tmp_path):
 
 def test_reduce_refuses_a_text_over_the_budget_before_building_it(capsys, monkeypatch,
                                                                  tmp_path):
-    def not_before_the_budget_check(self):
+    def not_before_the_budget_check(*args):
         raise AssertionError("walked the non-edges before the budget check")
 
     monkeypatch.setattr(core.Graph, "non_edges", not_before_the_budget_check)
+    monkeypatch.setattr(cli, "_closed_form", not_before_the_budget_check)
+    monkeypatch.setattr(cli, "_stage1", not_before_the_budget_check)
     graph = tmp_path / "graph.txt"
     graph.write_text("p 20000 0\nk 2\n")  # |T| = 2l + 3·l(l-1)/2 + 4
     code, out, err = run(capsys, "reduce", str(graph), "-o", str(tmp_path / "out"), "--trace")
@@ -615,18 +617,16 @@ def test_reduce_without_trace_refuses_as_the_staged_path_before_it_walks(capsys,
 
     monkeypatch.setattr(core.Graph, "non_edges", not_before_the_refusal)
     monkeypatch.setattr(cli, "_closed_form", not_before_the_refusal)
+    monkeypatch.setattr(cli, "_stage1", not_before_the_refusal)
     graph = tmp_path / "graph.txt"
     graph.write_text("p 20000 0\nk 2\n")
     out = str(tmp_path / "out")
-    assert run(capsys, "reduce", str(graph), "-o", out) == (
-        4, "", "error: |T| = 600010004 exceeds budget 100000000\n")
-    for k in ("0", "20001"):
-        assert run(capsys, "reduce", str(graph), "-k", k, "-o", out) == (
-            2, "", f"error: subset size k={k} outside 1..20000\n")
-    monkeypatch.undo()
-    for k in ("0", "20001"):
-        assert run(capsys, "reduce", str(graph), "-k", k, "-o", out, "--trace") == (
-            2, "", f"error: subset size k={k} outside 1..20000\n")
+    for trace in ([], ["--trace"]):
+        assert run(capsys, "reduce", str(graph), "-o", out, *trace) == (
+            4, "", "error: |T| = 600010004 exceeds budget 100000000\n")
+        for k in ("0", "20001"):
+            assert run(capsys, "reduce", str(graph), "-k", k, "-o", out, *trace) == (
+                2, "", f"error: subset size k={k} outside 1..20000\n")
     assert [f.name for f in tmp_path.iterdir()] == ["graph.txt"]
 
 
@@ -644,8 +644,9 @@ def test_reduce_trace_streams_every_stage_of_an_l_1000_graph_in_256_mib(tmp_path
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "|P| = 6\n|T| = 1500504\n", "")
 
 
-def test_reduce_matches_the_golden_files_of_the_readme_graph(capsys, tmp_path):
+def test_reduce_matches_the_golden_files_of_the_readme_graph(capsys, monkeypatch, tmp_path):
     # the files and dump of the staged reduce(); CI compares the installed command too
+    monkeypatch.setattr(core.Graph, "non_edges", lambda _: pytest.fail("non_edges() was called"))
     golden = Path(__file__).parent / "golden"
     code, out, err = run(capsys, "reduce", str(golden / "six_vertex.txt"),
                          "-o", str(tmp_path / "out"), "--trace")
